@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .conjugacy import ClassTable
+from .conjugacy import ClassTable, power_classes
 from .cyclotomic import Cyclotomic, _prime_factors
 from .errors import SplitFailureError
 from .groups import FiniteGroup, _is_prime
@@ -72,7 +72,7 @@ def _admissible_primes(exponent: int, group_order: int):
         if candidate > 1 and _is_prime(candidate) and candidate * candidate > four_n:
             yield candidate
         candidate += exponent if exponent > 1 else 1
-    raise RuntimeError("prime search exhausted its iteration bound")
+    raise SplitFailureError("prime search exhausted its iteration bound")
 
 
 def dixon_prime(exponent: int, group_order: int) -> int:
@@ -255,22 +255,12 @@ def _attempt(G: FiniteGroup, T: ClassTable, int_mats, p: int, e: int) -> Charact
         raise SplitFailureError("degree squares do not sum to the group order")
 
     lam_root = _least_primitive_root(p, e)
-    power_classes = []
-    for c in T.classes:
-        o = T.element_order_of_class[c.id]
-        x = G.elements[c.representative]
-        acc = G.elements[0]
-        pcs = []
-        for _ in range(o):
-            pcs.append(T.class_of[G.index[acc]])
-            acc = acc * x
-        power_classes.append(pcs)
-
+    powers = power_classes(T)
     rows = []
     for w, degree in zip(vectors, degrees):
         values = []
         for k in range(r):
-            pcs = power_classes[k]
+            pcs = powers[k]
             o = len(pcs)
             eta = pow(lam_root, e // o, p)
             eta_pow = [1] * o

@@ -17,16 +17,16 @@ import sys
 from . import __version__
 from .audit import load_ledger_overrides, run_audit
 from .chartab import character_table
-from .conjugacy import ClassTable, classes_of_element_order, conjugacy_classes
+from .conjugacy import ClassTable, conjugacy_classes
 from .counting import (
     DEFAULT_ITERATION_CAP,
     abc_census,
     class_algebra_constant,
-    enumerate_solutions,
+    count_equivalence,
     frobenius_count,
     generated_subgroup_report,
-    orbit_decomposition,
     rigidity_verdict,
+    verdict_from_routes,
 )
 from .errors import (
     CapExceededError,
@@ -37,6 +37,7 @@ from .errors import (
     SplitFailureError,
     UnknownConstructorError,
     UnsupportedModulusError,
+    VerificationError,
 )
 from .groups import DEFAULT_CAP
 from .groupspec import parse_group_spec
@@ -220,7 +221,7 @@ def cmd_triples(args):
 
 
 def _verdict_body(verdict) -> dict:
-    body = {"verdict": verdict.kind}
+    body = {"count": verdict.count, "verdict": verdict.kind}
     if verdict.kind == "rigid":
         body["stabilizer-order"] = verdict.stabilizer_order
     if verdict.kind == "not-rigid":
@@ -240,14 +241,9 @@ def cmd_rigid(args):
         a, b, c = (int(t) for t in tokens)
         census = abc_census(G, T, a, b, c, cap=cap)
         verdicts = []
-        for ids, _count in census.per_tuple:
-            verdict = rigidity_verdict(G, T, CT, ids, cap=cap)
-            entry = {
-                "class-ids": list(ids),
-                "count": frobenius_count(CT, ids),
-            }
-            entry.update(_verdict_body(verdict))
-            verdicts.append(entry)
+        for ids, decomposition in census.decompositions:
+            verdict = verdict_from_routes(ids, frobenius_count(CT, ids), decomposition)
+            verdicts.append({"class-ids": list(ids), **_verdict_body(verdict)})
         body = {
             "mode": "orders",
             "census": _census_body(G, T, census),
@@ -257,16 +253,9 @@ def cmd_rigid(args):
     ids = tuple(_resolve_selector(T, token) for token in tokens)
     if len(ids) < 2:
         raise ValueError("need at least two class selectors")
-    count = frobenius_count(CT, ids)
     verdict = rigidity_verdict(G, T, CT, ids, cap=cap)
-    body = {
-        "mode": "classes",
-        "class-ids": list(ids),
-        "count": count,
-    }
-    body.update(_verdict_body(verdict))
+    body = {"mode": "classes", "class-ids": list(ids), **_verdict_body(verdict)}
     if verdict.kind != "empty":
-        decomposition = orbit_decomposition(G, enumerate_solutions(G, T, ids, cap))
         body["orbits"] = [
             {
                 "representative": [
@@ -278,7 +267,7 @@ def cmd_rigid(args):
                     G, orbit.representative
                 )[0],
             }
-            for orbit in decomposition.orbits
+            for orbit in verdict.orbits
         ]
     return _envelope("rigid", args, body), EXIT_PASS
 
@@ -287,32 +276,11 @@ def cmd_oracle(args):
     _, G = _build(args)
     T = conjugacy_classes(G)
     CT = character_table(G, T)
-    cap = _iteration_cap(args)
-    r = T.num_classes
-    triples = 0
-    mismatches = []
-    for x in range(r):
-        for y in range(r):
-            for z in range(r):
-                triples += 1
-                by_characters = frobenius_count(CT, (x, y, z))
-                by_scan = len(enumerate_solutions(G, T, (x, y, z), cap))
-                constant = class_algebra_constant(CT, x, y, z)
-                identity_ok = by_characters == T.classes[z].size * constant
-                if by_characters != by_scan or not identity_ok:
-                    if len(mismatches) < 10:
-                        mismatches.append(
-                            {
-                                "class-ids": [x, y, z],
-                                "character-count": by_characters,
-                                "scan-count": by_scan,
-                                "class-algebra-constant": constant,
-                            }
-                        )
+    triples, mismatches = count_equivalence(G, T, CT, _iteration_cap(args))
     body = {
-        "num-classes": r,
+        "num-classes": T.num_classes,
         "triples": triples,
-        "mismatches": mismatches,
+        "mismatches": mismatches[:10],
         "status": "pass" if not mismatches else "fail",
     }
     code = EXIT_PASS if not mismatches else EXIT_CHECK_FAILURE
@@ -339,12 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="structured = canonical JSON; text = indented listing",
     )
     common.add_argument("--cap", type=int, default=None, help="resource cap")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface stability; engines are single-threaded",
-    )
     parser = argparse.ArgumentParser(
         prog="rigidity",
         description="exact rigidity and generation checks for small finite groups",
@@ -424,9 +386,6 @@ def main(argv=None) -> int:
         if code in (0, None):
             return EXIT_PASS
         return EXIT_USAGE
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     if args.cap is not None and args.cap < 1:
         print("error: --cap must be at least 1", file=sys.stderr)
         return EXIT_USAGE
@@ -438,7 +397,7 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SplitFailureError, NonIntegerResultError, RuntimeError) as exc:
+    except (SplitFailureError, NonIntegerResultError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
     fmt = args.format

@@ -95,19 +95,24 @@ def conjugacy_classes(G: FiniteGroup) -> ClassTable:
     )
 
 
-def power_map(T: ClassTable, k: int) -> tuple[int, ...]:
-    """Class id of g^k per class id; well-defined on classes."""
+def power_classes(T: ClassTable) -> tuple[tuple[int, ...], ...]:
+    """Per class id, the class ids of c⁰, c¹, …, c^{o−1}, o the element order."""
     G = T.group
     result = []
     for c in T.classes:
-        m = T.element_order_of_class[c.id]
-        e = k % m
         x = G.elements[c.representative]
         acc = G.elements[0]
-        for _ in range(e):
+        pcs = []
+        for _ in range(T.element_order_of_class[c.id]):
+            pcs.append(T.class_of[G.index[acc]])
             acc = acc * x
-        result.append(T.class_of[G.index[acc]])
+        result.append(tuple(pcs))
     return tuple(result)
+
+
+def power_map(T: ClassTable, k: int) -> tuple[int, ...]:
+    """Class id of g^k per class id; well-defined on classes."""
+    return tuple(pcs[k % len(pcs)] for pcs in power_classes(T))
 
 
 def classes_of_element_order(T: ClassTable, m: int) -> list[int]:

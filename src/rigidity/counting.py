@@ -3,7 +3,7 @@
 Two independent routes produce every count: the character-theoretic sum
 (∏|C_i|/|G|)·Σ_χ ∏χ(g_i)/χ(1)^{s−2}, and an exhaustive scan that iterates
 the s−1 smallest classes and solves for the member of the largest.  Neither
-route calls the other; their agreement is a standing test invariant.
+route calls the other; `_check_routes` is the one place they are compared.
 
 Solution sets are decomposed into orbits under simultaneous conjugation,
 g·(x₁,…,x_s) = (g⁻¹x₁g, …, g⁻¹x_sg); a tuple of classes is rigid when the
@@ -19,7 +19,7 @@ from itertools import product as iter_product
 from .chartab import CharacterTable
 from .conjugacy import ClassTable, classes_of_element_order
 from .cyclotomic import Cyclotomic
-from .errors import CapExceededError, NonIntegerResultError
+from .errors import CapExceededError, NonIntegerResultError, VerificationError
 from .groups import FiniteGroup
 
 DEFAULT_ITERATION_CAP = 100_000_000
@@ -49,35 +49,48 @@ class OrbitDecomposition:
 
 @dataclass(frozen=True)
 class RigidityVerdict:
-    """Empty, Rigid(stabilizer order), or NotRigid(number of orbits)."""
+    """One class tuple's result: its character count and its scan orbits.
 
-    kind: str
-    stabilizer_order: int | None = None
-    num_orbits: int = 0
+    Empty when there are no solutions, Rigid when they form one orbit,
+    NotRigid otherwise.
+    """
 
-    @classmethod
-    def empty(cls) -> "RigidityVerdict":
-        return cls(kind="empty")
+    count: int
+    orbits: tuple[Orbit, ...] = ()
 
-    @classmethod
-    def rigid(cls, stabilizer_order: int) -> "RigidityVerdict":
-        return cls(kind="rigid", stabilizer_order=stabilizer_order, num_orbits=1)
+    @property
+    def kind(self) -> str:
+        if not self.orbits:
+            return "empty"
+        return "rigid" if len(self.orbits) == 1 else "not-rigid"
 
-    @classmethod
-    def not_rigid(cls, num_orbits: int) -> "RigidityVerdict":
-        return cls(kind="not-rigid", num_orbits=num_orbits)
+    @property
+    def stabilizer_order(self) -> int | None:
+        return self.orbits[0].stabilizer_order if self.kind == "rigid" else None
+
+    @property
+    def num_orbits(self) -> int:
+        return len(self.orbits)
 
 
-def _check_ids(CTorT, class_ids) -> tuple[int, ...]:
+def _check_ids(class_ids) -> tuple[int, ...]:
     ids = tuple(class_ids)
     if len(ids) < 2:
         raise ValueError(f"need at least 2 classes, got {len(ids)}")
     return ids
 
 
+def _check_routes(ids, count: int, scanned: int) -> None:
+    """The one comparison of the character route with the scan route."""
+    if count != scanned:
+        raise VerificationError(
+            f"character count {count} disagrees with scan {scanned} for tuple {ids}"
+        )
+
+
 def frobenius_count(CT: CharacterTable, class_ids) -> int:
     """Number of tuples (x₁,…,x_s) ∈ C₁×⋯×C_s with product 1, by characters."""
-    ids = _check_ids(CT, class_ids)
+    ids = _check_ids(class_ids)
     r = CT.num_classes
     for i in ids:
         if not 0 <= i < r:
@@ -137,7 +150,7 @@ def enumerate_solutions(
     cap: int = DEFAULT_ITERATION_CAP,
 ) -> SolutionSet:
     """Exhaustive scan; iterates all classes but the largest, solves for it."""
-    ids = _check_ids(T, class_ids)
+    ids = _check_ids(class_ids)
     for i in ids:
         if not 0 <= i < len(T.classes):
             raise IndexError(f"class id {i} outside 0..{len(T.classes) - 1}")
@@ -199,7 +212,7 @@ def orbit_decomposition(G: FiniteGroup, S: SolutionSet) -> OrbitDecomposition:
                     orbit.add(image)
                     queue.append(image)
         if G.order % len(orbit) != 0:
-            raise RuntimeError("orbit size does not divide the group order")
+            raise VerificationError("orbit size does not divide the group order")
         orbits.append(
             Orbit(
                 representative=seed,
@@ -211,6 +224,14 @@ def orbit_decomposition(G: FiniteGroup, S: SolutionSet) -> OrbitDecomposition:
     return OrbitDecomposition(orbits=tuple(orbits), total=len(S.solutions))
 
 
+def verdict_from_routes(
+    ids, count: int, decomposition: OrbitDecomposition
+) -> RigidityVerdict:
+    """A tuple's verdict from its character count and its scan orbits."""
+    _check_routes(ids, count, decomposition.total)
+    return RigidityVerdict(count=count, orbits=decomposition.orbits)
+
+
 def rigidity_verdict(
     G: FiniteGroup,
     T: ClassTable,
@@ -218,19 +239,49 @@ def rigidity_verdict(
     class_ids,
     cap: int = DEFAULT_ITERATION_CAP,
 ) -> RigidityVerdict:
-    """Empty / Rigid / NotRigid for one class tuple."""
+    """Empty / Rigid / NotRigid for one class tuple; a zero count skips the scan."""
     count = frobenius_count(CT, class_ids)
     if count == 0:
-        return RigidityVerdict.empty()
+        return RigidityVerdict(count=0)
     solutions = enumerate_solutions(G, T, class_ids, cap)
-    if len(solutions) != count:
-        raise RuntimeError(
-            f"character count {count} disagrees with scan {len(solutions)}"
-        )
-    decomposition = orbit_decomposition(G, solutions)
-    if len(decomposition.orbits) == 1:
-        return RigidityVerdict.rigid(decomposition.orbits[0].stabilizer_order)
-    return RigidityVerdict.not_rigid(len(decomposition.orbits))
+    return verdict_from_routes(
+        solutions.class_ids, count, orbit_decomposition(G, solutions)
+    )
+
+
+def count_equivalence(
+    G: FiniteGroup,
+    T: ClassTable,
+    CT: CharacterTable,
+    cap: int = DEFAULT_ITERATION_CAP,
+) -> tuple[int, list[dict]]:
+    """Both routes on every class triple: (number of triples, mismatch records).
+
+    A triple mismatches when the scan disagrees with the character count, or
+    when the count breaks frobenius_count(x, y, z) = |C_z| · a_{xyz}.
+    """
+    r = T.num_classes
+    mismatches = []
+    for ids in iter_product(range(r), repeat=3):
+        count = frobenius_count(CT, ids)
+        scanned = len(enumerate_solutions(G, T, ids, cap))
+        constant = class_algebra_constant(CT, *ids)
+        try:
+            _check_routes(ids, count, scanned)
+        except VerificationError:
+            agrees = False
+        else:
+            agrees = count == T.classes[ids[2]].size * constant
+        if not agrees:
+            mismatches.append(
+                {
+                    "class-ids": list(ids),
+                    "character-count": count,
+                    "scan-count": scanned,
+                    "class-algebra-constant": constant,
+                }
+            )
+    return r**3, mismatches
 
 
 def generated_subgroup_report(G: FiniteGroup, triple) -> tuple[int, tuple]:
@@ -255,9 +306,16 @@ class CensusOrbit:
 @dataclass(frozen=True)
 class AbcCensus:
     orders: tuple[int, int, int]
-    per_tuple: tuple[tuple[tuple[int, int, int], int], ...]
-    total: int
+    decompositions: tuple[tuple[tuple[int, int, int], OrbitDecomposition], ...]
     orbits: tuple[CensusOrbit, ...]
+
+    @property
+    def per_tuple(self) -> tuple[tuple[tuple[int, int, int], int], ...]:
+        return tuple((ids, dec.total) for ids, dec in self.decompositions)
+
+    @property
+    def total(self) -> int:
+        return sum(dec.total for _, dec in self.decompositions)
 
 
 def abc_census(
@@ -268,21 +326,21 @@ def abc_census(
     c: int,
     cap: int = DEFAULT_ITERATION_CAP,
 ) -> AbcCensus:
-    """Census of all (a, b, c)-triples: per-tuple counts, orbits, generation."""
+    """Census of all (a, b, c)-triples: orbits per tuple and in all, with generation."""
     xs = classes_of_element_order(T, a)
     ys = classes_of_element_order(T, b)
     zs = classes_of_element_order(T, c)
-    union: list[tuple[int, ...]] = []
-    per_tuple = []
-    for ids in iter_product(xs, ys, zs):
-        sols = enumerate_solutions(G, T, ids, cap)
-        per_tuple.append((ids, len(sols)))
-        union.extend(sols.solutions)
-    union.sort()
-    union_set = SolutionSet(class_ids=(), solutions=tuple(union))
-    decomposition = orbit_decomposition(G, union_set)
+    decompositions = tuple(
+        (ids, orbit_decomposition(G, enumerate_solutions(G, T, ids, cap)))
+        for ids in iter_product(xs, ys, zs)
+    )
+    # conjugation keeps each class tuple, so these are the orbits of the union
+    all_orbits = sorted(
+        (orbit for _, dec in decompositions for orbit in dec.orbits),
+        key=lambda orbit: orbit.representative,
+    )
     orbits = []
-    for orbit in decomposition.orbits:
+    for orbit in all_orbits:
         order, fp = generated_subgroup_report(G, orbit.representative)
         orbits.append(
             CensusOrbit(
@@ -294,8 +352,5 @@ def abc_census(
             )
         )
     return AbcCensus(
-        orders=(a, b, c),
-        per_tuple=tuple(per_tuple),
-        total=len(union),
-        orbits=tuple(orbits),
+        orders=(a, b, c), decompositions=decompositions, orbits=tuple(orbits)
     )

@@ -35,6 +35,10 @@ class SplitFailureError(RuntimeError):
     """Eigenspace splitting failed for every admissible prime tried."""
 
 
+class VerificationError(RuntimeError):
+    """The two counting routes disagree, or an orbit size fails to divide |G|."""
+
+
 class NonIntegerResultError(ArithmeticError):
     """A character-theoretic count failed to reduce to a nonnegative integer."""
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from rigidity import cli
+from rigidity import cli, counting
 
 
 def run(capsys, *argv):
@@ -135,6 +135,19 @@ def test_rigid_order_mode(capsys):
         for v in data["per-tuple-verdicts"]
     }
     assert verdicts == {(1, 4, 5): ("rigid", 120), (2, 4, 5): ("empty", 0)}
+
+
+def test_rigid_order_mode_checks_zero_counts_against_scan(capsys, monkeypatch):
+    # a character route that says "no solutions" must not hide the scan's 120
+    def zero(CT, class_ids):
+        return 0
+
+    monkeypatch.setattr(counting, "frobenius_count", zero)
+    monkeypatch.setattr(cli, "frobenius_count", zero)
+    code, out, err = run(capsys, "rigid", "Sym(5)", "2", "4", "5", "--format", "structured")
+    assert code == 1
+    assert out == ""
+    assert "disagrees with scan 120" in err
 
 
 def test_rigid_order_mode_needs_three(capsys):

@@ -6,6 +6,7 @@ from conftest import classed
 from rigidity.conjugacy import (
     classes_of_element_order,
     conjugacy_classes,
+    power_classes,
     power_map,
 )
 
@@ -149,3 +150,13 @@ def test_known_class_counts():
 def test_power_map_negative_exponent_inverts():
     _, T = classed("Alt5")
     assert list(power_map(T, -1)) == list(T.inverse_class)
+
+
+def test_power_classes_list_each_cycle():
+    _, T = classed("Sym5")
+    for cls, pcs in zip(T.classes, power_classes(T)):
+        assert len(pcs) == T.element_order_of_class[cls.id]
+        assert pcs[0] == 0
+        assert pcs[1 % len(pcs)] == cls.id
+    for k in (-1, 0, 2, 7):
+        assert power_map(T, k) == tuple(pcs[k % len(pcs)] for pcs in power_classes(T))

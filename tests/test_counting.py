@@ -7,17 +7,21 @@ from fractions import Fraction
 import pytest
 
 from conftest import charactered
+from rigidity import counting
 from rigidity.chartab import Character, CharacterTable
 from rigidity.counting import (
+    SolutionSet,
     abc_census,
     class_algebra_constant,
+    count_equivalence,
     enumerate_solutions,
     frobenius_count,
     generated_subgroup_report,
     orbit_decomposition,
     rigidity_verdict,
+    verdict_from_routes,
 )
-from rigidity.errors import CapExceededError, NonIntegerResultError
+from rigidity.errors import CapExceededError, NonIntegerResultError, VerificationError
 
 DUAL_ROUTE_NAMES = (
     "Sym3",
@@ -165,6 +169,9 @@ def test_verdicts():
     G, T, CT = charactered("Alt4")
     v = rigidity_verdict(G, T, CT, (1, 1, 1))
     assert (v.kind, v.num_orbits) == ("not-rigid", 2)
+    assert v.count == 6
+    assert [(o.size, o.stabilizer_order) for o in v.orbits] == [(3, 4), (3, 4)]
+    assert v.stabilizer_order is None
 
     G, T, CT = charactered("Sym5")
     v = rigidity_verdict(G, T, CT, (1, 4, 5))
@@ -173,6 +180,37 @@ def test_verdicts():
     assert v.kind == "empty"
     assert v.stabilizer_order is None
     assert v.num_orbits == 0
+
+
+def test_disagreeing_routes_raise():
+    G, T, _ = charactered("Sym5")
+    ids = (1, 4, 5)
+    dec = orbit_decomposition(G, enumerate_solutions(G, T, ids))
+    assert verdict_from_routes(ids, 120, dec).kind == "rigid"
+    for wrong in (0, 119):
+        with pytest.raises(VerificationError, match="disagrees with scan 120"):
+            verdict_from_routes(ids, wrong, dec)
+
+
+def test_count_equivalence_records_mismatches(monkeypatch):
+    G, T, CT = charactered("Sym3")
+    assert count_equivalence(G, T, CT) == (27, [])
+    real = counting.frobenius_count
+    monkeypatch.setattr(
+        counting,
+        "frobenius_count",
+        lambda CT, ids: real(CT, ids) + (ids == (1, 1, 2)),
+    )
+    triples, mismatches = count_equivalence(G, T, CT)
+    assert triples == 27
+    assert mismatches == [
+        {
+            "class-ids": [1, 1, 2],
+            "character-count": 7,
+            "scan-count": 6,
+            "class-algebra-constant": 3,
+        }
+    ]
 
 
 def test_stabilizer_mass_formula():
@@ -198,6 +236,23 @@ def test_census_shape_and_totals():
     orbit = census.orbits[0]
     assert (orbit.size, orbit.stabilizer_order, orbit.subgroup_order) == (120, 1, 120)
     assert orbit.subgroup_fingerprint == G.fingerprint()
+    for ids, dec in census.decompositions:
+        assert dec == orbit_decomposition(G, enumerate_solutions(G, T, ids))
+
+
+def test_census_orbits_match_the_union_decomposition():
+    for name, orders in (("Alt4", (2, 2, 2)), ("Alt5", (2, 5, 5)), ("Sym4", (2, 3, 4))):
+        G, T, _ = charactered(name)
+        census = abc_census(G, T, *orders)
+        union = sorted(
+            sol for ids, _ in census.per_tuple
+            for sol in enumerate_solutions(G, T, ids).solutions
+        )
+        whole = orbit_decomposition(G, SolutionSet(class_ids=(), solutions=tuple(union)))
+        assert census.total == whole.total
+        assert [(o.representative, o.size, o.stabilizer_order) for o in census.orbits] == [
+            (o.representative, o.size, o.stabilizer_order) for o in whole.orbits
+        ]
 
 
 def test_census_on_even_subgroup():
