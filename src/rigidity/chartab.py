@@ -89,6 +89,10 @@ class Character:
     degree: int
     values: tuple[Cyclotomic, ...]
 
+    def sort_key(self) -> tuple:
+        """The project-wide row order: by degree, then by the values."""
+        return (self.degree, tuple(v.sort_key() for v in self.values))
+
 
 @dataclass(frozen=True)
 class CharacterTable:
@@ -284,7 +288,7 @@ def _attempt(G: FiniteGroup, T: ClassTable, int_mats, p: int, e: int) -> Charact
             values.append(Cyclotomic.from_exponent_map(o, mults))
         rows.append(Character(degree=degree, values=tuple(values)))
 
-    rows.sort(key=lambda row: (row.degree, tuple(v.sort_key() for v in row.values)))
+    rows.sort(key=Character.sort_key)
     return CharacterTable(
         group_order=order,
         class_sizes=tuple(sizes),

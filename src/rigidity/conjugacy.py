@@ -1,8 +1,8 @@
 """Conjugacy classes of an enumerated group.
 
-Classes are found by orbit closure under conjugation by the stored generators
-only; that suffices because the generators generate, and it costs
-O(|G| · #generators) conjugations instead of O(|G|²).
+Classes are the orbits (`groups.orbit_partition`) under conjugation by the
+stored generators only; that suffices because the generators generate, and it
+costs O(|G| · #generators) conjugations instead of O(|G|²).
 
 The class ordering convention is fixed project-wide: sort by (element order,
 class size, least member index).  The identity class therefore always gets
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, orbit_partition
 
 
 @dataclass(frozen=True)
@@ -46,27 +46,9 @@ def conjugacy_classes(G: FiniteGroup) -> ClassTable:
     """Partition G into conjugacy classes, sorted by the fixed convention."""
     n = G.order
     gens = G.generator_indices or (0,)
-    assigned = [False] * n
-    raw: list[list[int]] = []
-    for start in range(n):
-        if assigned[start]:
-            continue
-        members = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = G.conjugate(x, g)
-                if y not in members:
-                    members.add(y)
-                    queue.append(y)
-        for m in members:
-            assigned[m] = True
-        raw.append(sorted(members))
-
     keyed = sorted(
-        (G.element_order(members[0]), len(members), members[0], members)
-        for members in raw
+        (G.element_order(least), len(members), least, tuple(sorted(members)))
+        for least, members in orbit_partition(range(n), gens, G.conjugate)
     )
     classes = []
     class_of = [0] * n
@@ -77,7 +59,7 @@ def conjugacy_classes(G: FiniteGroup) -> ClassTable:
             ConjugacyClass(
                 id=cid,
                 representative=rep,
-                members=tuple(members),
+                members=members,
                 size=size,
                 centralizer_order=n // size,
             )

@@ -20,7 +20,7 @@ from .chartab import CharacterTable
 from .conjugacy import ClassTable, classes_of_element_order
 from .cyclotomic import Cyclotomic
 from .errors import CapExceededError, NonIntegerResultError, VerificationError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, orbit_partition
 
 DEFAULT_ITERATION_CAP = 100_000_000
 
@@ -56,7 +56,7 @@ class RigidityVerdict:
     """
 
     count: int
-    orbits: tuple[Orbit, ...] = ()
+    orbits: tuple[Orbit, ...]
 
     @property
     def kind(self) -> str:
@@ -196,21 +196,13 @@ def enumerate_solutions(
 def orbit_decomposition(G: FiniteGroup, S: SolutionSet) -> OrbitDecomposition:
     """Orbits under simultaneous conjugation; representatives are least tuples."""
     gens = G.generator_indices or (0,)
-    remaining = set(S.solutions)
+    conjugate = G.conjugate
+
+    def act(sol, g):
+        return tuple(conjugate(x, g) for x in sol)
+
     orbits = []
-    # ascending scan: the first unconsumed solution is the least of its orbit
-    for seed in S.solutions:
-        if seed not in remaining:
-            continue
-        orbit = {seed}
-        queue = [seed]
-        while queue:
-            sol = queue.pop()
-            for g in gens:
-                image = tuple(G.conjugate(x, g) for x in sol)
-                if image not in orbit:
-                    orbit.add(image)
-                    queue.append(image)
+    for seed, orbit in orbit_partition(S.solutions, gens, act):
         if G.order % len(orbit) != 0:
             raise VerificationError("orbit size does not divide the group order")
         orbits.append(
@@ -220,7 +212,6 @@ def orbit_decomposition(G: FiniteGroup, S: SolutionSet) -> OrbitDecomposition:
                 stabilizer_order=G.order // len(orbit),
             )
         )
-        remaining -= orbit
     return OrbitDecomposition(orbits=tuple(orbits), total=len(S.solutions))
 
 
@@ -239,10 +230,8 @@ def rigidity_verdict(
     class_ids,
     cap: int = DEFAULT_ITERATION_CAP,
 ) -> RigidityVerdict:
-    """Empty / Rigid / NotRigid for one class tuple; a zero count skips the scan."""
+    """Empty / Rigid / NotRigid for one class tuple, checked by both routes."""
     count = frobenius_count(CT, class_ids)
-    if count == 0:
-        return RigidityVerdict(count=0)
     solutions = enumerate_solutions(G, T, class_ids, cap)
     return verdict_from_routes(
         solutions.class_ids, count, orbit_decomposition(G, solutions)
@@ -289,9 +278,8 @@ def generated_subgroup_report(G: FiniteGroup, triple) -> tuple[int, tuple]:
     entries = tuple(triple)
     if len(entries) < 2:
         raise ValueError("need at least two tuple entries")
-    indices = G.subgroup_generated(entries[:2])
-    subgroup = G.subgroup(indices)
-    return (subgroup.order, subgroup.fingerprint())
+    fingerprint = G.fingerprint(entries[:2])
+    return (fingerprint[0], fingerprint)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,11 @@ memoized lazily; closures that would touch many rows once (conjugation sweeps,
 subgroup generation) fall back to direct element arithmetic, which costs two
 dictionary lookups per step instead of an O(|G|) row fill.
 
+Every closure in the toolkit (subgroups, conjugacy classes, orbits of solution
+tuples) is one call of `orbit`, or of `orbit_partition` when a whole point set
+is split into orbits.  Subgroups are fingerprinted inside their parent group,
+by conjugating the parent's indices by the subgroup's generators.
+
 The named constructors (symmetric, alternating, cyclic, dihedral, orthogonal)
 check their known order against the cap before enumerating anything, so a
 request like Sym(50) fails fast instead of exhausting memory.
@@ -18,7 +23,9 @@ request like Sym(50) fails fast instead of exhausting memory.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
+from operator import mul
 
 from .elements import GroupElement, Permutation, PrimeFieldMatrix
 from .errors import (
@@ -31,18 +38,33 @@ from .errors import (
 DEFAULT_CAP = 2_000_000
 
 
-def _element_closure(gens: list, identity) -> set:
-    """Closure of {identity} under right multiplication by gens."""
-    members = {identity}
-    queue = [identity]
+def orbit(seed, gens, act) -> set:
+    """Closure of {seed} under act(point, g) for every g in gens."""
+    members = {seed}
+    queue = [seed]
     while queue:
         x = queue.pop()
         for g in gens:
-            y = x * g
+            y = act(x, g)
             if y not in members:
                 members.add(y)
                 queue.append(y)
     return members
+
+
+def orbit_partition(points, gens, act):
+    """Yield (least point, orbit) for each orbit in the ascending sequence points.
+
+    points must be a union of orbits; a point is marked as seen by its
+    position, found by bisection, so no set of all points is ever built.
+    """
+    seen = bytearray(len(points))
+    for i, p in enumerate(points):
+        if not seen[i]:
+            members = orbit(p, gens, act)
+            for m in members:
+                seen[bisect_left(points, m)] = 1
+            yield p, members
 
 
 class FiniteGroup:
@@ -79,7 +101,7 @@ class FiniteGroup:
         for x in elements[1:]:
             if x not in covered:
                 gens.append(x)
-                covered = _element_closure(gens, identity)
+                covered = orbit(identity, gens, mul)
         if covered != set(elements):
             raise ValueError("element list is not closed under multiplication")
         group = cls(elements, [])
@@ -150,18 +172,10 @@ class FiniteGroup:
         gen_indices = sorted(set(seed))
         for s in gen_indices:
             self._check_index(s)
-        gens = [self.elements[s] for s in gen_indices]
-        index = self.index
-        members = {0}
-        queue = [0]
-        while queue:
-            x = self.elements[queue.pop()]
-            for g in gens:
-                y = index[x * g]
-                if y not in members:
-                    members.add(y)
-                    queue.append(y)
-        return members
+        elements, index = self.elements, self.index
+        return orbit(
+            0, [elements[s] for s in gen_indices], lambda x, g: index[elements[x] * g]
+        )
 
     def derived_subgroup(self) -> set[int]:
         """Index set of the commutator subgroup.
@@ -198,14 +212,24 @@ class FiniteGroup:
             raise ValueError("subgroup must contain the identity (index 0)")
         return FiniteGroup.from_closed_elements([self.elements[i] for i in idx])
 
-    def fingerprint(self) -> tuple:
-        """(order, sorted class sizes, sorted (element order, count) pairs)."""
-        from .conjugacy import conjugacy_classes
+    def fingerprint(self, seed=None) -> tuple:
+        """(order, sorted class sizes, sorted (element order, count) pairs).
 
-        table = conjugacy_classes(self)
-        sizes = tuple(sorted(c.size for c in table.classes))
-        profile = Counter(self.element_order(i) for i in range(self.order))
-        return (self.order, sizes, tuple(sorted(profile.items())))
+        Describes the subgroup generated by the seed indices, or the whole
+        group when seed is None.  Its classes are found inside this group, as
+        orbits under conjugation by the seed (or by the stored generators).
+        """
+        if seed is None:
+            gens = self.generator_indices or (0,)
+            members = range(self.order)
+        else:
+            gens = sorted(set(seed))
+            members = sorted(self.subgroup_generated(gens))
+        sizes = sorted(
+            len(c) for _, c in orbit_partition(members, gens, self.conjugate)
+        )
+        profile = Counter(self.element_order(i) for i in members)
+        return (len(members), tuple(sizes), tuple(sorted(profile.items())))
 
     def __repr__(self):
         kind = type(self.elements[0]).__name__

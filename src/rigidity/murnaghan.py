@@ -112,7 +112,7 @@ def murnaghan_nakayama(n: int) -> CharacterTable:
         )
         degree = mn_value(lam, (1,) * n)
         rows.append(Character(degree=degree, values=values))
-    rows.sort(key=lambda row: (row.degree, tuple(v.sort_key() for v in row.values)))
+    rows.sort(key=Character.sort_key)
     return CharacterTable(
         group_order=factorial(n),
         class_sizes=tuple(sizes[mu] for mu in columns),
@@ -145,7 +145,7 @@ def align_to_class_table(oracle: CharacterTable, T: ClassTable) -> CharacterTabl
                 values=tuple(row.values[i] for i in perm_order),
             )
         )
-    rows.sort(key=lambda row: (row.degree, tuple(v.sort_key() for v in row.values)))
+    rows.sort(key=Character.sort_key)
     return CharacterTable(
         group_order=oracle.group_order,
         class_sizes=tuple(oracle.class_sizes[i] for i in perm_order),

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from rigidity import cli, counting
+from rigidity import cli, counting, errors
 
 
 def run(capsys, *argv):
@@ -56,6 +56,32 @@ def test_usage_errors(capsys):
     assert run(capsys, "order", "Sym(5)", "--cap", "0")[0] == 2
     assert run(capsys, "order", "Sym(5)", "--threads", "0")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.GroupSpecError("bad spec", 3), 2),
+        (errors.UnknownConstructorError("no such constructor"), 2),
+        (errors.UnsupportedModulusError("modulus 11"), 2),
+        (errors.IncompatibleGeneratorsError("mixed generators"), 2),
+        (errors.SingularMatrixError("singular"), 2),
+        (errors.CapExceededError("over the cap"), 3),
+        (errors.SplitFailureError("no prime split"), 1),
+        (errors.NonIntegerResultError("non-integer count"), 1),
+        (errors.VerificationError("routes disagree"), 1),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+)
+def test_typed_errors_map_to_exit_codes(capsys, monkeypatch, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "order", fail)
+    status, out, err = run(capsys, "order", "Sym(3)")
+    assert status == code
+    assert out == ""
+    assert err == f"error: {error}\n"
 
 
 def test_classes_output(capsys):
@@ -137,14 +163,21 @@ def test_rigid_order_mode(capsys):
     assert verdicts == {(1, 4, 5): ("rigid", 120), (2, 4, 5): ("empty", 0)}
 
 
-def test_rigid_order_mode_checks_zero_counts_against_scan(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "selectors",
+    [("2", "4", "5"), ("id:1", "id:4", "id:5")],
+    ids=["orders", "classes"],
+)
+def test_rigid_checks_zero_counts_against_scan(capsys, monkeypatch, selectors):
     # a character route that says "no solutions" must not hide the scan's 120
     def zero(CT, class_ids):
         return 0
 
     monkeypatch.setattr(counting, "frobenius_count", zero)
     monkeypatch.setattr(cli, "frobenius_count", zero)
-    code, out, err = run(capsys, "rigid", "Sym(5)", "2", "4", "5", "--format", "structured")
+    code, out, err = run(
+        capsys, "rigid", "Sym(5)", *selectors, "--format", "structured"
+    )
     assert code == 1
     assert out == ""
     assert "disagrees with scan 120" in err
@@ -170,7 +203,7 @@ def test_rigid_empty_verdict_still_passes(capsys):
     data = run_json(capsys, "rigid", "Sym(5)", "id:2", "id:4", "id:5")
     assert data["verdict"] == "empty"
     assert data["count"] == 0
-    # the empty verdict is decided by characters alone; no orbits are listed
+    # both routes find no solutions, so no orbits are listed
     assert "orbits" not in data
 
 

@@ -22,6 +22,8 @@ from rigidity.groups import (
     dih_group,
     mat_group,
     omega3_group,
+    orbit,
+    orbit_partition,
     so3_enumerate,
     so3_group,
     sym_group,
@@ -182,6 +184,31 @@ def test_subgroup_materialization():
         G.subgroup({1, 2})
     with pytest.raises(IndexError):
         G.subgroup_generated([G.order])
+
+
+def test_orbit_partition_splits_ascending_points():
+    # orbits of x -> x + 3 on Z/12, from every point and from one orbit alone
+    def step(x, g):
+        return (x + g) % 12
+
+    assert orbit(5, [3], step) == {2, 5, 8, 11}
+    whole = list(orbit_partition(range(12), [3], step))
+    assert [least for least, _ in whole] == [0, 1, 2]
+    assert [sorted(members) for _, members in whole] == [
+        [0, 3, 6, 9],
+        [1, 4, 7, 10],
+        [2, 5, 8, 11],
+    ]
+    assert [least for least, _ in orbit_partition([1, 4, 7, 10], [3], step)] == [1]
+
+
+def test_fingerprint_inside_parent_matches_materialized_subgroup():
+    for name in ("Sym4", "Q8", "SO3_5"):
+        G = group(name)
+        for seed in ([1], [1, 2], [2, G.order - 1], [0]):
+            materialized = G.subgroup(G.subgroup_generated(seed)).fingerprint()
+            assert G.fingerprint(seed) == materialized
+        assert G.fingerprint(G.generator_indices) == G.fingerprint()
 
 
 def test_derived_subgroups():
