@@ -17,10 +17,11 @@ import json
 from fractions import Fraction
 
 from . import __version__
-from .chartab import character_table
-from .conjugacy import classes_of_element_order, conjugacy_classes
+from .chartab import CharacterTable, character_table
+from .conjugacy import ClassTable, classes_of_element_order, conjugacy_classes
 from .counting import abc_census, count_equivalence, rigidity_verdict
-from .groups import alt_group, so3_group, sym_group
+from .groups import FiniteGroup
+from .groupspec import build_group
 from .murnaghan import align_to_class_table, murnaghan_nakayama
 from .qsymbolic import (
     CITATION_DIMENSIONS,
@@ -51,37 +52,37 @@ def _check(name, ok, values, provenance="computed", citation=None):
     return entry
 
 
-class _Workspace:
-    """Lazy shared group/table pipeline so sections reuse heavy objects."""
+class Pipelines:
+    """Groups, class tables and character tables by spec text, each built once.
+
+    One instance per audit run, so nothing outlives the run.
+    """
 
     def __init__(self):
-        self._cache = {}
+        self._groups = {}
+        self._classes = {}
+        self._characters = {}
 
-    def pipeline(self, label: str):
-        if label not in self._cache:
-            builders = {
-                "Sym(3)": lambda: sym_group(3),
-                "Sym(4)": lambda: sym_group(4),
-                "Sym(5)": lambda: sym_group(5),
-                "Alt(4)": lambda: alt_group(4),
-                "Alt(5)": lambda: alt_group(5),
-                "SO3(5)": lambda: so3_group(5),
-            }
-            G = builders[label]()
-            T = conjugacy_classes(G)
-            self._cache[label] = (G, T, None)
-        return self._cache[label]
+    def group(self, spec: str) -> FiniteGroup:
+        if spec not in self._groups:
+            self._groups[spec] = build_group(spec)
+        return self._groups[spec]
 
-    def with_characters(self, label: str):
-        G, T, CT = self.pipeline(label)
-        if CT is None:
-            CT = character_table(G, T)
-            self._cache[label] = (G, T, CT)
-        return G, T, CT
+    def classes(self, spec: str) -> tuple[FiniteGroup, ClassTable]:
+        G = self.group(spec)
+        if spec not in self._classes:
+            self._classes[spec] = conjugacy_classes(G)
+        return G, self._classes[spec]
+
+    def characters(self, spec: str) -> tuple[FiniteGroup, ClassTable, CharacterTable]:
+        G, T = self.classes(spec)
+        if spec not in self._characters:
+            self._characters[spec] = character_table(G, T)
+        return G, T, self._characters[spec]
 
 
-def _section_census(ws: _Workspace):
-    G, T, _ = ws.pipeline("Sym(5)")
+def _section_census(pipelines: Pipelines):
+    G, T = pipelines.classes("Sym(5)")
     census = abc_census(G, T, 2, 4, 5)
     orbit = census.orbits[0] if census.orbits else None
     checks = [
@@ -113,9 +114,9 @@ def _section_census(ws: _Workspace):
     return "order-(2,4,5) census in the degree-5 symmetric group", checks
 
 
-def _section_shadow(ws: _Workspace):
-    G, T, _ = ws.pipeline("SO3(5)")
-    S5, _, _ = ws.pipeline("Sym(5)")
+def _section_shadow(pipelines: Pipelines):
+    G, T = pipelines.classes("SO3(5)")
+    S5 = pipelines.group("Sym(5)")
     derived_order = len(G.derived_subgroup())
     fingerprint, sym5_fingerprint = G.fingerprint(), S5.fingerprint()
     order5 = classes_of_element_order(T, 5)
@@ -151,10 +152,10 @@ def _section_shadow(ws: _Workspace):
     return "3-dimensional orthogonal-group shadow over F5", checks
 
 
-def _section_equivalence(ws: _Workspace):
+def _section_equivalence(pipelines: Pipelines):
     checks = []
     for label in ("Sym(3)", "Sym(4)", "Sym(5)", "Alt(4)", "Alt(5)"):
-        triples, mismatches = count_equivalence(*ws.with_characters(label))
+        triples, mismatches = count_equivalence(*pipelines.characters(label))
         checks.append(
             _check(
                 f"count-equivalence-{label}",
@@ -165,8 +166,8 @@ def _section_equivalence(ws: _Workspace):
     return "character count versus exhaustive scan", checks
 
 
-def _section_chartab(ws: _Workspace):
-    G, T, CT = ws.with_characters("Sym(5)")
+def _section_chartab(pipelines: Pipelines):
+    G, T, CT = pipelines.characters("Sym(5)")
     oracle = align_to_class_table(murnaghan_nakayama(5), T)
     equal = (
         CT.class_sizes == oracle.class_sizes
@@ -183,14 +184,14 @@ def _section_chartab(ws: _Workspace):
     return "character-table dual derivation for the degree-5 symmetric group", checks
 
 
-def _section_symbolic(ws: _Workspace, ledgers: dict[str, Ledger]):
+def _section_symbolic(pipelines: Pipelines, ledgers: dict[str, Ledger]):
     one = ledgers["triple-1"]
     two = ledgers["triple-2"]
     sum_one = normalized_solution_count(one.entries)
     sum_two = normalized_solution_count(two.entries)
     mass_three = orbit_mass([6, 3, 2])
     mass_union = orbit_mass([6, 3, 2, 2, 2])
-    G3, _, _ = ws.pipeline("Sym(3)")
+    G3 = pipelines.group("Sym(3)")
     splitting = lang_splitting_data(G3)
     dims = [d.class_dimension for d in DIMENSION_DATA]
     total, satisfied = dimension_criterion(dims, 14)
@@ -240,14 +241,14 @@ def _section_symbolic(ws: _Workspace, ledgers: dict[str, Ledger]):
     return "symbolic ledger identities", checks
 
 
-def _section_negative(ws: _Workspace):
-    G4, T4, CT4 = ws.with_characters("Alt(4)")
+def _section_negative(pipelines: Pipelines):
+    G4, T4, CT4 = pipelines.characters("Alt(4)")
     ids4 = classes_of_element_order(T4, 2)
     triple4 = (ids4[0],) * 3
     verdict4 = rigidity_verdict(G4, T4, CT4, triple4)
     orbit_shape = sorted((o.size, o.stabilizer_order) for o in verdict4.orbits)
 
-    G5, T5, CT5 = ws.with_characters("Sym(5)")
+    G5, T5, CT5 = pipelines.characters("Sym(5)")
     double = [i for i in classes_of_element_order(T5, 2) if T5.classes[i].size == 15]
     four = classes_of_element_order(T5, 4)
     five = classes_of_element_order(T5, 5)
@@ -290,13 +291,16 @@ def _poly_from_terms(terms, where: str) -> QPolynomial:
         raise ValueError(f"{where}: expected a list of [degree, num, den] terms")
     coeffs = {}
     for term in terms:
+        # type, not isinstance: JSON true and false load as bool, an int subclass
         if (
             not isinstance(term, list)
             or len(term) != 3
-            or not all(isinstance(v, int) for v in term)
+            or not all(type(v) is int for v in term)
         ):
             raise ValueError(f"{where}: bad term {term!r}")
         degree, num, den = term
+        if degree < 0:
+            raise ValueError(f"{where}: negative degree in term {term!r}")
         if den == 0:
             raise ValueError(f"{where}: zero denominator")
         coeffs[degree] = coeffs.get(degree, Fraction(0)) + Fraction(num, den)
@@ -365,14 +369,14 @@ def run_audit(
             raise ValueError(f"unknown audit sections {bad}; valid: 1..6")
     if ledgers is None:
         ledgers = {"triple-1": LEDGER_ONE, "triple-2": LEDGER_TWO}
-    ws = _Workspace()
+    pipelines = Pipelines()
     runners = {
-        1: lambda: _section_census(ws),
-        2: lambda: _section_shadow(ws),
-        3: lambda: _section_equivalence(ws),
-        4: lambda: _section_chartab(ws),
-        5: lambda: _section_symbolic(ws, ledgers),
-        6: lambda: _section_negative(ws),
+        1: lambda: _section_census(pipelines),
+        2: lambda: _section_shadow(pipelines),
+        3: lambda: _section_equivalence(pipelines),
+        4: lambda: _section_chartab(pipelines),
+        5: lambda: _section_symbolic(pipelines, ledgers),
+        6: lambda: _section_negative(pipelines),
     }
     report_sections = []
     all_pass = True

@@ -36,6 +36,7 @@ from math import isqrt, lcm
 
 from .conjugacy import ClassTable, power_classes
 from .cyclotomic import Cyclotomic, _prime_factors
+from .elements import row_reduce
 from .errors import SplitFailureError
 from .groups import FiniteGroup, _is_prime
 
@@ -114,61 +115,31 @@ def _apply(matrix, vec, p):
 
 def _coordinates(basis, images, p):
     """Coordinates of each image in terms of basis, all solved at once."""
-    r = len(basis[0])
     m = len(basis)
-    width = m + len(images)
     aug = [
         [basis[b][i] for b in range(m)] + [img[i] for img in images]
-        for i in range(r)
+        for i in range(len(basis[0]))
     ]
-    row = 0
-    pivot_rows = []
-    for col in range(m):
-        pivot = next((i for i in range(row, r) if aug[i][col] % p), None)
-        if pivot is None:
-            raise SplitFailureError("degenerate subspace basis")
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = pow(aug[row][col], -1, p)
-        aug[row] = [x * inv % p for x in aug[row]]
-        for i in range(r):
-            if i != row and aug[i][col] % p:
-                f = aug[i][col]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[row])]
-        pivot_rows.append(row)
-        row += 1
-    for i in range(row, r):
-        if any(aug[i][m:]):
-            raise SplitFailureError("image escapes the invariant subspace")
-    return [[aug[pr][m + idx] for pr in pivot_rows] for idx in range(len(images))]
+    reduced, pivots = row_reduce(aug, m, p)
+    if len(pivots) < m:
+        raise SplitFailureError("degenerate subspace basis")
+    if any(any(row[m:]) for row in reduced[m:]):
+        raise SplitFailureError("image escapes the invariant subspace")
+    return [[reduced[b][m + idx] for b in range(m)] for idx in range(len(images))]
 
 
 def _kernel_mod(matrix, p):
     """Deterministic kernel basis of a square matrix over F_p."""
     m = len(matrix)
-    mat = [list(row) for row in matrix]
-    pivots = {}
-    row = 0
-    for col in range(m):
-        pivot = next((i for i in range(row, m) if mat[i][col] % p), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = pow(mat[row][col], -1, p)
-        mat[row] = [x * inv % p for x in mat[row]]
-        for i in range(m):
-            if i != row and mat[i][col] % p:
-                f = mat[i][col]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[row])]
-        pivots[col] = row
-        row += 1
+    reduced, pivots = row_reduce(matrix, m, p)
     basis = []
     for free in range(m):
         if free in pivots:
             continue
         vec = [0] * m
         vec[free] = 1
-        for col, prow in pivots.items():
-            vec[col] = (-mat[prow][free]) % p
+        for prow, col in enumerate(pivots):
+            vec[col] = (-reduced[prow][free]) % p
         basis.append(tuple(vec))
     return basis
 

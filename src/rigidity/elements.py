@@ -1,9 +1,12 @@
-"""Concrete group element realizations.
+"""Concrete group element realizations and row reduction mod p.
 
 Two element kinds are supported: permutations of {0, ..., degree-1} and square
 matrices over a prime field F_p.  Both expose the same small surface (product,
 inverse, identity, canonical byte encoding) so the enumeration machinery in
 `groups` can stay agnostic of the realization.
+
+`row_reduce` is the one Gauss–Jordan elimination over F_p: matrix inverses
+here and the eigenspace split in `chartab` both call it.
 """
 
 from __future__ import annotations
@@ -115,6 +118,33 @@ class Permutation:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
 
 
+def row_reduce(rows, ncols: int, p: int):
+    """Reduced row echelon form over F_p, pivoting in the first ncols columns.
+
+    Entries must lie in [0, p).  Returns (reduced rows, pivot columns).  The
+    pivot columns ascend, and the row at index i of the result has a 1 in
+    pivot column i and 0 in every other pivot column.  Columns from ncols on
+    are carried along but never pivoted on, so they can hold right-hand
+    sides.  The input is not modified.
+    """
+    m = [list(row) for row in rows]
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        pivot = next((i for i in range(row, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = pow(m[row][col], -1, p)
+        m[row] = [x * inv % p for x in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col]:
+                f = m[i][col]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[row])]
+        pivots.append(col)
+    return m, pivots
+
+
 class PrimeFieldMatrix:
     """A square matrix over F_p with entries reduced to [0, p)."""
 
@@ -178,18 +208,10 @@ class PrimeFieldMatrix:
     def inverse(self) -> "PrimeFieldMatrix":
         p, n = self.p, self.n
         m = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col]), None)
-            if pivot is None:
-                raise SingularMatrixError(f"matrix is singular mod {p}: {self.entries!r}")
-            m[col], m[pivot] = m[pivot], m[col]
-            inv = pow(m[col][col], -1, p)
-            m[col] = [x * inv % p for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col]:
-                    factor = m[r][col]
-                    m[r] = [(x - factor * y) % p for x, y in zip(m[r], m[col])]
-        return PrimeFieldMatrix(p, [row[n:] for row in m])
+        reduced, pivots = row_reduce(m, n, p)
+        if len(pivots) < n:
+            raise SingularMatrixError(f"matrix is singular mod {p}: {self.entries!r}")
+        return PrimeFieldMatrix(p, [row[n:] for row in reduced])
 
     def identity_element(self) -> "PrimeFieldMatrix":
         return PrimeFieldMatrix.identity(self.p, self.n)

@@ -295,13 +295,13 @@ class QRationalFunction:
     def __hash__(self) -> int:
         return hash((self.numerator, self.denominator))
 
-    def __repr__(self) -> str:
+    def _format(self) -> str:
         if self.denominator == QPolynomial.one():
-            return f"QRationalFunction({self.numerator._format()})"
-        return (
-            f"QRationalFunction(({self.numerator._format()}) / "
-            f"({self.denominator._format()}))"
-        )
+            return self.numerator._format()
+        return f"({self.numerator._format()}) / ({self.denominator._format()})"
+
+    def __repr__(self) -> str:
+        return f"QRationalFunction({self._format()})"
 
 
 @dataclass(frozen=True)

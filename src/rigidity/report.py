@@ -72,10 +72,8 @@ def jsonable(value):
                 for k in sorted(value.coeffs)
             ],
         }
-    if isinstance(value, QPolynomial):
+    if isinstance(value, (QPolynomial, QRationalFunction)):
         return value._format()
-    if isinstance(value, QRationalFunction):
-        return repr(value)[len("QRationalFunction(") : -1]
     if isinstance(value, (Permutation, PrimeFieldMatrix)):
         return element_text(value)
     if isinstance(value, dict):
@@ -98,10 +96,8 @@ def _scalar_text(value) -> str:
         return fraction_text(value)
     if isinstance(value, Cyclotomic):
         return cyclo_text(value)
-    if isinstance(value, QPolynomial):
+    if isinstance(value, (QPolynomial, QRationalFunction)):
         return value._format()
-    if isinstance(value, QRationalFunction):
-        return repr(value)[len("QRationalFunction(") : -1]
     if isinstance(value, (Permutation, PrimeFieldMatrix)):
         return element_text(value)
     return str(value)

@@ -1,53 +1,14 @@
-"""Cached group pipelines shared across the test modules."""
+"""One group pipeline cache shared across the test modules, keyed by spec text."""
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from rigidity.chartab import character_table
-from rigidity.conjugacy import conjugacy_classes
-from rigidity.groups import (
-    alt_group,
-    cyc_group,
-    dih_group,
-    mat_group,
-    omega3_group,
-    so3_group,
-    sym_group,
-)
+from rigidity.audit import Pipelines
 
 # quaternion group of order 8 as 2x2 matrices over F_3
 Q8_FLATS = ((0, 2, 1, 0), (1, 1, 1, 2))
+Q8 = "Mat(3, 2; [0 2 1 0], [1 1 1 2])"
 
-_BUILDERS = {
-    "Sym2": lambda: sym_group(2),
-    "Sym3": lambda: sym_group(3),
-    "Sym4": lambda: sym_group(4),
-    "Sym5": lambda: sym_group(5),
-    "Sym6": lambda: sym_group(6),
-    "Alt4": lambda: alt_group(4),
-    "Alt5": lambda: alt_group(5),
-    "Dih4": lambda: dih_group(4),
-    "Cyc6": lambda: cyc_group(6),
-    "Q8": lambda: mat_group(3, 2, Q8_FLATS),
-    "SO3_3": lambda: so3_group(3),
-    "SO3_5": lambda: so3_group(5),
-    "Omega3_5": lambda: omega3_group(5),
-}
-
-
-@lru_cache(maxsize=None)
-def group(name: str):
-    return _BUILDERS[name]()
-
-
-@lru_cache(maxsize=None)
-def classed(name: str):
-    G = group(name)
-    return G, conjugacy_classes(G)
-
-
-@lru_cache(maxsize=None)
-def charactered(name: str):
-    G, T = classed(name)
-    return G, T, character_table(G, T)
+_PIPELINES = Pipelines()
+group = _PIPELINES.group
+classed = _PIPELINES.classes
+charactered = _PIPELINES.characters

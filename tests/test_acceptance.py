@@ -46,7 +46,7 @@ def test_criterion_1_sym5_census(capsys):
         failures.append(f"exit code {code}")
     if body["census"]["total"] != 120:
         failures.append("cli census total")
-    G, T, _ = charactered("Sym5")
+    G, T, _ = charactered("Sym(5)")
     census = abc_census(G, T, 2, 4, 5)
     if census.total != 120:
         failures.append(f"total {census.total} != 120")
@@ -63,13 +63,13 @@ def test_criterion_1_sym5_census(capsys):
 
 def test_criterion_2_rotation_group_shadow():
     failures = []
-    G = group("SO3_5")
+    G = group("SO3(5)")
     if G.order != 120:
         failures.append(f"order {G.order} != 120")
     derived = G.subgroup(tuple(sorted(G.derived_subgroup())))
     if derived.order != 60:
         failures.append(f"derived order {derived.order} != 60")
-    if G.fingerprint() != group("Sym5").fingerprint():
+    if G.fingerprint() != group("Sym(5)").fingerprint():
         failures.append("fingerprint differs from the degree-5 symmetric group")
     T = conjugacy_classes(G)
     order5 = classes_of_element_order(T, 5)
@@ -85,7 +85,7 @@ def test_criterion_2_rotation_group_shadow():
 def test_criterion_3_oracle_equivalence():
     failures = []
     checked = 0
-    for name in ("Sym3", "Sym4", "Sym5", "Alt4", "Alt5"):
+    for name in ("Sym(3)", "Sym(4)", "Sym(5)", "Alt(4)", "Alt(5)"):
         G, T, CT = charactered(name)
         r = T.num_classes
         for x in range(r):
@@ -105,7 +105,8 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_character_tables():
     failures = []
-    jobs = [charactered(n)[::2] for n in ("Sym3", "Sym4", "Sym5", "Sym6", "Alt4", "Alt5")]
+    names = ("Sym(3)", "Sym(4)", "Sym(5)", "Sym(6)", "Alt(4)", "Alt(5)")
+    jobs = [charactered(n)[::2] for n in names]
     jobs += [(G, character_table(G, conjugacy_classes(G)))
              for G in (cyc_group(n) for n in range(1, 13))]
     jobs += [(G, character_table(G, conjugacy_classes(G)))
@@ -117,10 +118,10 @@ def test_criterion_4_character_tables():
         if sum(chi.degree ** 2 for chi in CT.rows) != G.order:
             failures.append((G.order, "degree squares"))
     for n in range(3, 7):
-        _, T, CT = charactered(f"Sym{n}")
+        _, T, CT = charactered(f"Sym({n})")
         oracle = align_to_class_table(murnaghan_nakayama(n), T)
         if oracle.rows != CT.rows:
-            failures.append((f"Sym{n}", "combinatorial oracle mismatch"))
+            failures.append((f"Sym({n})", "combinatorial oracle mismatch"))
     report(
         4,
         f"{len(jobs)} character tables orthogonal; 4 match the combinatorial oracle",
@@ -136,7 +137,7 @@ def test_criterion_5_symbolic_identities():
             failures.append((ledger.name, repr(total)))
     if orbit_mass([6, 3, 2, 2, 2]) != 2:
         failures.append("orbit mass")
-    if lang_splitting_data(group("Sym3")) != (6, 3, 2):
+    if lang_splitting_data(group("Sym(3)")) != (6, 3, 2):
         failures.append("splitting data")
     if dimension_criterion([8, 10, 10], 14) != (28, True):
         failures.append("dimension criterion")
@@ -145,7 +146,7 @@ def test_criterion_5_symbolic_identities():
 
 def test_criterion_6_negative_controls():
     failures = []
-    G, T, CT = charactered("Alt4")
+    G, T, CT = charactered("Alt(4)")
     v = rigidity_verdict(G, T, CT, (1, 1, 1))
     if (v.kind, v.num_orbits) != ("not-rigid", 2):
         failures.append(f"Alt(4) verdict {v}")
@@ -153,7 +154,7 @@ def test_criterion_6_negative_controls():
     shape = sorted((o.size, o.stabilizer_order) for o in dec.orbits)
     if shape != [(3, 4), (3, 4)]:
         failures.append(f"Alt(4) orbit shape {shape}")
-    G, T, CT = charactered("Sym5")
+    G, T, CT = charactered("Sym(5)")
     if frobenius_count(CT, (2, 4, 5)) != 0:
         failures.append("Sym(5) double-transposition count")
     v = rigidity_verdict(G, T, CT, (2, 4, 5))

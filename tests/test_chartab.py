@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import charactered, classed
+from conftest import Q8, charactered, classed
 from rigidity.chartab import (
     Character,
     CharacterTable,
@@ -19,24 +19,24 @@ from rigidity.cyclotomic import Cyclotomic
 from rigidity.murnaghan import align_to_class_table, murnaghan_nakayama
 
 ALL_NAMES = (
-    "Sym2",
-    "Sym3",
-    "Sym4",
-    "Sym5",
-    "Sym6",
-    "Alt4",
-    "Alt5",
-    "Dih4",
-    "Cyc6",
-    "Q8",
-    "SO3_5",
-    "Omega3_5",
+    "Sym(2)",
+    "Sym(3)",
+    "Sym(4)",
+    "Sym(5)",
+    "Sym(6)",
+    "Alt(4)",
+    "Alt(5)",
+    "Dih(4)",
+    "Cyc(6)",
+    Q8,
+    "SO3(5)",
+    "Omega3(5)",
 )
 
 
 def test_class_matrix_row_sums():
     # summing a_{jik}·|C_k| over k counts all of C_j × C_i
-    G, T = classed("Sym4")
+    G, T = classed("Sym(4)")
     for mat in class_matrices(T, G):
         for i, row in enumerate(mat.entries):
             total = sum(a * T.classes[k].size for k, a in enumerate(row))
@@ -44,7 +44,7 @@ def test_class_matrix_row_sums():
 
 
 def test_identity_class_matrix_is_identity():
-    for name in ("Sym3", "Sym4", "Q8"):
+    for name in ("Sym(3)", "Sym(4)", Q8):
         G, T = classed(name)
         mat = class_matrices(T, G)[0]
         for i, row in enumerate(mat.entries):
@@ -52,7 +52,7 @@ def test_identity_class_matrix_is_identity():
 
 
 def test_scaled_rows_are_simultaneous_eigenvectors():
-    for name in ("Sym4", "Q8"):
+    for name in ("Sym(4)", Q8):
         G, T, CT = charactered(name)
         mats = class_matrices(T, G)
         for chi in CT.rows:
@@ -95,7 +95,7 @@ def test_first_row_is_trivial_character():
 
 
 def test_tampered_table_fails_orthogonality():
-    _, _, CT = charactered("Sym3")
+    _, _, CT = charactered("Sym(3)")
     bad_rows = list(CT.rows)
     chi = bad_rows[-1]
     values = list(chi.values)
@@ -137,8 +137,8 @@ def test_matches_combinatorial_oracle_exactly():
     from conftest import group
 
     for n in range(3, 7):
-        G = group(f"Sym{n}")
-        _, T, CT = charactered(f"Sym{n}")
+        G = group(f"Sym({n})")
+        _, T, CT = charactered(f"Sym({n})")
         oracle = align_to_class_table(murnaghan_nakayama(n), T)
         assert oracle.class_sizes == CT.class_sizes
         assert oracle.class_orders == CT.class_orders
@@ -147,7 +147,7 @@ def test_matches_combinatorial_oracle_exactly():
 
 
 def test_table_is_deterministic():
-    G, T = classed("Alt5")
+    G, T = classed("Alt(5)")
     a = character_table(G, T)
     b = character_table(G, T)
     assert a.rows == b.rows
@@ -155,11 +155,11 @@ def test_table_is_deterministic():
 
 def test_known_degree_sequences():
     expected = {
-        "Sym5": [1, 1, 4, 4, 5, 5, 6],
-        "Alt5": [1, 3, 3, 4, 5],
-        "Q8": [1, 1, 1, 1, 2],
-        "Alt4": [1, 1, 1, 3],
-        "Dih4": [1, 1, 1, 1, 2],
+        "Sym(5)": [1, 1, 4, 4, 5, 5, 6],
+        "Alt(5)": [1, 3, 3, 4, 5],
+        Q8: [1, 1, 1, 1, 2],
+        "Alt(4)": [1, 1, 1, 3],
+        "Dih(4)": [1, 1, 1, 1, 2],
     }
     for name, degrees in expected.items():
         _, _, CT = charactered(name)
@@ -167,8 +167,8 @@ def test_known_degree_sequences():
 
 
 def test_rotation_group_table_matches_its_shadow():
-    _, _, CT5 = charactered("SO3_5")
-    _, _, CTS = charactered("Sym5")
+    _, _, CT5 = charactered("SO3(5)")
+    _, _, CTS = charactered("Sym(5)")
     assert sorted(chi.degree for chi in CT5.rows) == sorted(
         chi.degree for chi in CTS.rows
     )

@@ -330,6 +330,24 @@ def test_audit_ledger_override_errors(capsys, tmp_path):
     missing = tmp_path / "absent.json"
     assert run(capsys, "paper-audit", "--ledger", str(missing))[0] == 2
 
+    # a ledger equal to the embedded one except for the u5 terms below
+    for u5_terms, message in (
+        ([[4, True, True]], "triple-1[2].a_value: bad term [4, True, True]"),
+        ([[-1, 1, 1]], "triple-1[2].a_value: negative degree in term [-1, 1, 1]"),
+    ):
+        rows = [
+            {"label": "u3", "a_value": [[4, 1, 1]], "centralizer_order": [[4, 6, 1]]},
+            {"label": "u4", "a_value": [[4, 1, 1]], "centralizer_order": [[4, 3, 1]]},
+            {"label": "u5", "a_value": u5_terms, "centralizer_order": [[4, 2, 1]]},
+        ]
+        bad_term = tmp_path / "bad_term.json"
+        bad_term.write_text(json.dumps({"triple-1": rows}))
+        code, _, err = run(
+            capsys, "paper-audit", "--section", "5", "--ledger", str(bad_term)
+        )
+        assert code == 2
+        assert message in err
+
 
 def test_audit_text_format(capsys):
     code, out, _ = run(capsys, "paper-audit", "--format", "text", "--section", "6")

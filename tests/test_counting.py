@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import charactered
+from conftest import Q8, charactered
 from rigidity import counting
 from rigidity.chartab import Character, CharacterTable
 from rigidity.counting import (
@@ -24,14 +24,14 @@ from rigidity.counting import (
 from rigidity.errors import CapExceededError, NonIntegerResultError, VerificationError
 
 DUAL_ROUTE_NAMES = (
-    "Sym3",
-    "Sym4",
-    "Sym5",
-    "Alt4",
-    "Alt5",
-    "Q8",
-    "Dih4",
-    "Cyc6",
+    "Sym(3)",
+    "Sym(4)",
+    "Sym(5)",
+    "Alt(4)",
+    "Alt(5)",
+    Q8,
+    "Dih(4)",
+    "Cyc(6)",
 )
 
 
@@ -51,7 +51,7 @@ def test_character_count_equals_scan_on_all_triples():
 
 
 def test_pair_counts_detect_inverse_classes():
-    G, T, CT = charactered("Sym4")
+    G, T, CT = charactered("Sym(4)")
     for x in range(T.num_classes):
         for y in range(T.num_classes):
             count = frobenius_count(CT, (x, y))
@@ -61,13 +61,13 @@ def test_pair_counts_detect_inverse_classes():
 
 
 def test_quadruple_counts_match_scan():
-    G, T, CT = charactered("Sym3")
+    G, T, CT = charactered("Sym(3)")
     for ids in ((1, 1, 1, 1), (1, 1, 2, 2), (2, 2, 2, 2), (0, 1, 1, 0)):
         assert frobenius_count(CT, ids) == len(enumerate_solutions(G, T, ids))
 
 
 def test_non_integer_sum_is_rejected():
-    _, _, CT = charactered("Sym3")
+    _, _, CT = charactered("Sym(3)")
     rows = list(CT.rows)
     chi = rows[-1]
     values = list(chi.values)
@@ -84,7 +84,7 @@ def test_non_integer_sum_is_rejected():
 
 
 def test_input_validation():
-    G, T, CT = charactered("Sym4")
+    G, T, CT = charactered("Sym(4)")
     with pytest.raises(ValueError):
         frobenius_count(CT, (1,))
     with pytest.raises(IndexError):
@@ -96,13 +96,13 @@ def test_input_validation():
 
 
 def test_scan_cap():
-    G, T, _ = charactered("Sym5")
+    G, T, _ = charactered("Sym(5)")
     with pytest.raises(CapExceededError):
         enumerate_solutions(G, T, (4, 4, 4), cap=100)
 
 
 def test_solutions_multiply_to_identity_within_classes():
-    G, T, _ = charactered("Alt5")
+    G, T, _ = charactered("Alt(5)")
     ids = (1, 2, 3)
     S = enumerate_solutions(G, T, ids)
     for sol in S.solutions:
@@ -115,7 +115,7 @@ def test_solutions_multiply_to_identity_within_classes():
 
 
 def test_orbit_invariants():
-    for name, ids in (("Sym4", (1, 3, 3)), ("Alt5", (1, 2, 2)), ("Q8", (1, 2, 3))):
+    for name, ids in (("Sym(4)", (1, 3, 3)), ("Alt(5)", (1, 2, 2)), (Q8, (1, 2, 3))):
         G, T, _ = charactered(name)
         S = enumerate_solutions(G, T, ids)
         dec = orbit_decomposition(G, S)
@@ -128,7 +128,7 @@ def test_orbit_invariants():
 
 
 def test_orbits_are_closed_and_representatives_least():
-    G, T, _ = charactered("Alt4")
+    G, T, _ = charactered("Alt(4)")
     S = enumerate_solutions(G, T, (1, 1, 1))
     dec = orbit_decomposition(G, S)
     for o in dec.orbits:
@@ -146,7 +146,7 @@ def test_orbits_are_closed_and_representatives_least():
 
 
 def test_count_is_rotation_and_reversal_invariant():
-    _, T, CT = charactered("Sym4")
+    _, T, CT = charactered("Sym(4)")
     r = T.num_classes
     for x in range(r):
         for y in range(r):
@@ -160,20 +160,20 @@ def test_count_is_rotation_and_reversal_invariant():
 
 
 def test_verdicts():
-    G, T, CT = charactered("Sym3")
+    G, T, CT = charactered("Sym(3)")
     v = rigidity_verdict(G, T, CT, (1, 1, 2))
     assert (v.kind, v.stabilizer_order) == ("rigid", 1)
     v = rigidity_verdict(G, T, CT, (2, 2, 2))
     assert (v.kind, v.stabilizer_order) == ("rigid", 3)
 
-    G, T, CT = charactered("Alt4")
+    G, T, CT = charactered("Alt(4)")
     v = rigidity_verdict(G, T, CT, (1, 1, 1))
     assert (v.kind, v.num_orbits) == ("not-rigid", 2)
     assert v.count == 6
     assert [(o.size, o.stabilizer_order) for o in v.orbits] == [(3, 4), (3, 4)]
     assert v.stabilizer_order is None
 
-    G, T, CT = charactered("Sym5")
+    G, T, CT = charactered("Sym(5)")
     v = rigidity_verdict(G, T, CT, (1, 4, 5))
     assert (v.kind, v.stabilizer_order) == ("rigid", 1)
     v = rigidity_verdict(G, T, CT, (2, 4, 5))
@@ -183,7 +183,7 @@ def test_verdicts():
 
 
 def test_disagreeing_routes_raise():
-    G, T, _ = charactered("Sym5")
+    G, T, _ = charactered("Sym(5)")
     ids = (1, 4, 5)
     dec = orbit_decomposition(G, enumerate_solutions(G, T, ids))
     assert verdict_from_routes(ids, 120, dec).kind == "rigid"
@@ -193,7 +193,7 @@ def test_disagreeing_routes_raise():
 
 
 def test_count_equivalence_records_mismatches(monkeypatch):
-    G, T, CT = charactered("Sym3")
+    G, T, CT = charactered("Sym(3)")
     assert count_equivalence(G, T, CT) == (27, [])
     real = counting.frobenius_count
     monkeypatch.setattr(
@@ -215,7 +215,7 @@ def test_count_equivalence_records_mismatches(monkeypatch):
 
 def test_stabilizer_mass_formula():
     # summing 1/|stabilizer| over orbits recovers total/|G| exactly
-    for name, ids in (("Alt4", (1, 1, 1)), ("Sym5", (1, 4, 5)), ("Alt5", (1, 3, 4))):
+    for name, ids in (("Alt(4)", (1, 1, 1)), ("Sym(5)", (1, 4, 5)), ("Alt(5)", (1, 3, 4))):
         G, T, _ = charactered(name)
         S = enumerate_solutions(G, T, ids)
         dec = orbit_decomposition(G, S)
@@ -226,7 +226,7 @@ def test_stabilizer_mass_formula():
 
 
 def test_census_shape_and_totals():
-    G, T, _ = charactered("Sym5")
+    G, T, _ = charactered("Sym(5)")
     census = abc_census(G, T, 2, 4, 5)
     assert census.orders == (2, 4, 5)
     assert sum(count for _, count in census.per_tuple) == census.total
@@ -241,7 +241,7 @@ def test_census_shape_and_totals():
 
 
 def test_census_orbits_match_the_union_decomposition():
-    for name, orders in (("Alt4", (2, 2, 2)), ("Alt5", (2, 5, 5)), ("Sym4", (2, 3, 4))):
+    for name, orders in (("Alt(4)", (2, 2, 2)), ("Alt(5)", (2, 5, 5)), ("Sym(4)", (2, 3, 4))):
         G, T, _ = charactered(name)
         census = abc_census(G, T, *orders)
         union = sorted(
@@ -256,7 +256,7 @@ def test_census_orbits_match_the_union_decomposition():
 
 
 def test_census_on_even_subgroup():
-    G, T, _ = charactered("Alt5")
+    G, T, _ = charactered("Alt(5)")
     census = abc_census(G, T, 2, 5, 5)
     assert census.total == 120
     assert len(census.orbits) == 2
@@ -267,7 +267,7 @@ def test_census_on_even_subgroup():
 
 
 def test_census_with_no_classes_of_an_order():
-    G, T, _ = charactered("Sym4")
+    G, T, _ = charactered("Sym(4)")
     census = abc_census(G, T, 2, 4, 5)
     assert census.per_tuple == ()
     assert census.total == 0
@@ -275,7 +275,7 @@ def test_census_with_no_classes_of_an_order():
 
 
 def test_degenerate_generated_subgroup():
-    G, T, _ = charactered("Cyc6")
+    G, T, _ = charactered("Cyc(6)")
     # a commuting pair generates a proper cyclic subgroup
     order, fingerprint = generated_subgroup_report(G, (2, 4, 0))
     assert order == 3
@@ -283,7 +283,7 @@ def test_degenerate_generated_subgroup():
 
 
 def test_generated_subgroup_report_validation():
-    G, _, _ = charactered("Sym4")
+    G, _, _ = charactered("Sym(4)")
     with pytest.raises(ValueError):
         generated_subgroup_report(G, (3,))
     with pytest.raises(IndexError):

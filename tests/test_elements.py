@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import random
 from itertools import permutations, product
 
 import pytest
 
-from rigidity.elements import Permutation, PrimeFieldMatrix
-from rigidity.errors import IncompatibleGeneratorsError, SingularMatrixError
+from rigidity.chartab import _coordinates, _kernel_mod
+from rigidity.elements import Permutation, PrimeFieldMatrix, row_reduce
+from rigidity.errors import (
+    IncompatibleGeneratorsError,
+    SingularMatrixError,
+    SplitFailureError,
+)
 
 
 def all_perms(n: int) -> list[Permutation]:
@@ -147,3 +153,65 @@ def test_hash_consistency():
     m1 = PrimeFieldMatrix(5, ((6, 0), (0, 1)))
     m2 = PrimeFieldMatrix(5, ((1, 0), (0, 1)))
     assert m1 == m2 and hash(m1) == hash(m2)
+
+
+def square_matrices_mod_p():
+    """Every 2x2 matrix mod 3, then seeded-random 3x3 matrices mod 5 and mod 7."""
+    for flat in product(range(3), repeat=4):
+        yield 3, (flat[:2], flat[2:])
+    for p in (5, 7):
+        rng = random.Random(p)
+        for _ in range(100):
+            yield p, tuple(tuple(rng.randrange(p) for _ in range(3)) for _ in range(3))
+
+
+def test_row_reduce_rank_kernel_and_inverse():
+    ranks = set()
+    for p, rows in square_matrices_mod_p():
+        n = len(rows)
+        reduced, pivots = row_reduce(rows, n, p)
+        for i, col in enumerate(pivots):
+            assert [row[col] for row in reduced] == [int(r == i) for r in range(n)]
+        kernel = _kernel_mod(rows, p)
+        assert len(pivots) + len(kernel) == n
+        for vec in kernel:
+            assert all(sum(a * x for a, x in zip(row, vec)) % p == 0 for row in rows)
+        m = PrimeFieldMatrix(p, rows)
+        if len(pivots) == n:
+            e = PrimeFieldMatrix.identity(p, n)
+            assert m * m.inverse() == e
+            assert m.inverse() * m == e
+        else:
+            with pytest.raises(SingularMatrixError, match=f"matrix is singular mod {p}"):
+                m.inverse()
+        ranks.add((n, len(pivots)))
+    assert ranks == {(2, 0), (2, 1), (2, 2), (3, 2), (3, 3)}
+
+
+def test_row_reduce_leaves_its_input_and_extra_columns_alone():
+    rows = [[0, 2, 1, 4], [3, 1, 0, 2]]
+    reduced, pivots = row_reduce(rows, 2, 5)
+    assert rows == [[0, 2, 1, 4], [3, 1, 0, 2]]
+    assert pivots == [0, 1]
+    # the right-hand sides become x with [[0 2], [3 1]] x = [[1 4], [0 2]] mod 5
+    assert reduced == [[1, 0, 4, 0], [0, 1, 3, 2]]
+
+
+def test_coordinates_recover_combinations():
+    rng = random.Random(0)
+    for p, rows in square_matrices_mod_p():
+        n = len(rows)
+        if len(row_reduce(rows, n, p)[1]) < n:
+            continue
+        basis = rows[:-1]
+        coeffs = [[rng.randrange(p) for _ in basis] for _ in range(3)]
+        images = [
+            tuple(sum(c * v[i] for c, v in zip(cs, basis)) % p for i in range(n))
+            for cs in coeffs
+        ]
+        assert _coordinates(basis, images, p) == coeffs
+        with pytest.raises(SplitFailureError, match="image escapes the invariant subspace"):
+            _coordinates(basis, [rows[-1]], p)
+        doubled = [tuple(2 * x % p for x in rows[0]), rows[0]]
+        with pytest.raises(SplitFailureError, match="degenerate subspace basis"):
+            _coordinates(doubled, images, p)

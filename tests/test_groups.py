@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from conftest import Q8_FLATS, group
+from conftest import Q8, Q8_FLATS, group
 
 from rigidity.elements import Permutation, PrimeFieldMatrix
 from rigidity.errors import (
@@ -38,7 +38,7 @@ def test_builder_orders():
 
 
 def test_identity_is_element_zero():
-    for name in ("Sym4", "Alt4", "Q8", "SO3_5"):
+    for name in ("Sym(4)", "Alt(4)", Q8, "SO3(5)"):
         G = group(name)
         assert G.elements[0].is_identity()
         assert G.identity_index == 0
@@ -61,21 +61,21 @@ def test_alt_elements_are_even():
 
 
 def test_mult_table_matches_element_arithmetic():
-    G = group("Sym4")
+    G = group("Sym(4)")
     for i in range(G.order):
         for j in range(G.order):
             assert G.elements[G.mult(i, j)] == G.elements[i] * G.elements[j]
 
 
 def test_inverse_table():
-    G = group("Sym4")
+    G = group("Sym(4)")
     for i in range(G.order):
         assert G.mult(i, G.inverse(i)) == 0
         assert G.mult(G.inverse(i), i) == 0
 
 
 def test_conjugate_matches_element_arithmetic():
-    G = group("Q8")
+    G = group(Q8)
     for i in range(G.order):
         for g in range(G.order):
             expected = (
@@ -85,7 +85,7 @@ def test_conjugate_matches_element_arithmetic():
 
 
 def test_element_order_matches_naive_powers():
-    G = group("Sym4")
+    G = group("Sym(4)")
     for i in range(G.order):
         x = G.elements[i]
         power = x
@@ -97,14 +97,14 @@ def test_element_order_matches_naive_powers():
 
 
 def test_element_order_divides_group_order():
-    for name in ("Sym5", "Q8", "SO3_5"):
+    for name in ("Sym(5)", Q8, "SO3(5)"):
         G = group(name)
         for i in range(G.order):
             assert G.order % G.element_order(i) == 0
 
 
 def test_centralizer_sizes():
-    G = group("Sym4")
+    G = group("Sym(4)")
     four_cycle = next(i for i in range(G.order) if G.element_order(i) == 4)
     assert len(G.centralizer(four_cycle)) == 4
     assert len(G.centralizer(0)) == G.order
@@ -147,14 +147,14 @@ def test_bfs_enumeration_is_deterministic():
 
 
 def test_from_closed_elements_roundtrip():
-    G = group("Sym4")
+    G = group("Sym(4)")
     rebuilt = FiniteGroup.from_closed_elements(list(G.elements))
     assert rebuilt.order == G.order
     assert [g.encode() for g in rebuilt.elements] == [g.encode() for g in G.elements]
 
 
 def test_from_closed_elements_rejects_bad_input():
-    G = group("Sym3")
+    G = group("Sym(3)")
     with pytest.raises(ValueError):
         FiniteGroup.from_closed_elements(list(G.elements)[:-1])
     with pytest.raises(ValueError):
@@ -164,7 +164,7 @@ def test_from_closed_elements_rejects_bad_input():
 
 
 def test_subgroup_generated_satisfies_lagrange():
-    G = group("Sym4")
+    G = group("Sym(4)")
     for i in range(G.order):
         sub = G.subgroup_generated([i])
         assert G.order % len(sub) == 0
@@ -172,7 +172,7 @@ def test_subgroup_generated_satisfies_lagrange():
 
 
 def test_subgroup_materialization():
-    G = group("Sym4")
+    G = group("Sym(4)")
     transposition = next(
         i
         for i in range(G.order)
@@ -203,7 +203,7 @@ def test_orbit_partition_splits_ascending_points():
 
 
 def test_fingerprint_inside_parent_matches_materialized_subgroup():
-    for name in ("Sym4", "Q8", "SO3_5"):
+    for name in ("Sym(4)", Q8, "SO3(5)"):
         G = group(name)
         for seed in ([1], [1, 2], [2, G.order - 1], [0]):
             materialized = G.subgroup(G.subgroup_generated(seed)).fingerprint()
@@ -222,7 +222,7 @@ def test_derived_subgroups():
 
 
 def test_derived_subgroup_is_normal():
-    G = group("Sym4")
+    G = group("Sym(4)")
     derived = G.derived_subgroup()
     for h in derived:
         for g in range(G.order):
@@ -258,7 +258,7 @@ def test_so3_matches_naive_scan_mod3():
         ) % p
         if det == 1:
             naive.append(flat)
-    G = group("SO3_3")
+    G = group("SO3(3)")
     ours = [tuple(x for row in g.entries for x in row) for g in G.elements]
     identity_flat = (1, 0, 0, 0, 1, 0, 0, 0, 1)
     naive.remove(identity_flat)
@@ -285,7 +285,7 @@ def test_so3_matches_naive_scan_mod5():
     ) % p
     keep = orthogonal & (det == 1)
     naive = [tuple(int(x) for x in row) for row in digits[keep]]
-    G = group("SO3_5")
+    G = group("SO3(5)")
     ours = [tuple(x for row in g.entries for x in row) for g in G.elements]
     identity_flat = (1, 0, 0, 0, 1, 0, 0, 0, 1)
     naive.remove(identity_flat)
@@ -293,18 +293,18 @@ def test_so3_matches_naive_scan_mod5():
 
 
 def test_shadow_fingerprints():
-    assert group("SO3_5").fingerprint() == group("Sym5").fingerprint()
-    assert group("Omega3_5").fingerprint() == group("Alt5").fingerprint()
+    assert group("SO3(5)").fingerprint() == group("Sym(5)").fingerprint()
+    assert group("Omega3(5)").fingerprint() == group("Alt(5)").fingerprint()
     assert omega3_group(3).fingerprint() == alt_group(4).fingerprint()
 
 
 def test_omega3_orders():
     assert omega3_group(3).order == 12
-    assert group("Omega3_5").order == 60
+    assert group("Omega3(5)").order == 60
 
 
 def test_q8_fingerprint():
-    assert group("Q8").fingerprint() == (
+    assert group(Q8).fingerprint() == (
         8,
         (1, 1, 2, 2, 2),
         ((1, 1), (2, 1), (4, 6)),

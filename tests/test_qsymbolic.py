@@ -175,7 +175,7 @@ def test_orbit_mass():
 
 
 def test_lang_splitting_data():
-    H = group("Sym3")
+    H = group("Sym(3)")
     data = lang_splitting_data(H)
     assert data == (6, 3, 2)
     # class equation: the centralizer orders recover |H|
@@ -193,7 +193,7 @@ def test_splitting_matches_ledger_centralizer_scales():
         reverse=True,
     )
     assert scales == [6, 3, 2]
-    assert scales == [Fraction(c) for c in lang_splitting_data(group("Sym3"))]
+    assert scales == [Fraction(c) for c in lang_splitting_data(group("Sym(3)"))]
 
 
 def test_dimension_criterion():
