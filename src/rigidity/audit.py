@@ -334,15 +334,18 @@ def load_ledger_overrides(path: str) -> dict[str, Ledger]:
                 raise ValueError(
                     f"ledger file {path}: {name}[{i}] missing {exc}"
                 ) from exc
-            entries.append(
-                LedgerEntry(
-                    label=str(label),
-                    a_value=_poly_from_terms(a_terms, f"{name}[{i}].a_value"),
-                    centralizer_order=_poly_from_terms(
-                        c_terms, f"{name}[{i}].centralizer_order"
-                    ),
+            try:
+                entries.append(
+                    LedgerEntry(
+                        label=str(label),
+                        a_value=_poly_from_terms(a_terms, f"{name}[{i}].a_value"),
+                        centralizer_order=_poly_from_terms(
+                            c_terms, f"{name}[{i}].centralizer_order"
+                        ),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"ledger file {path}: {exc}") from exc
         try:
             ledgers[name] = Ledger(
                 name=name,

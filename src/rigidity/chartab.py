@@ -32,10 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt, lcm
 
 from .conjugacy import ClassTable, power_classes
-from .cyclotomic import Cyclotomic, _prime_factors
+from .cyclotomic import Cyclotomic, _prime_factors, integer_coordinates
 from .elements import row_reduce
 from .errors import SplitFailureError
 from .groups import FiniteGroup, _is_prime
@@ -107,6 +108,21 @@ class CharacterTable:
     @property
     def num_classes(self) -> int:
         return len(self.class_sizes)
+
+    @cached_property
+    def integer_columns(self) -> tuple[int, int, tuple[tuple[tuple[int, ...], ...], ...]]:
+        """(e, D, columns) with columns[k][row] = D·χ_row(g_k) as an integer vector.
+
+        e is the lcm of the value conductors (1 for every symmetric group) and
+        D the common denominator of the lifted coordinates (1 for a true table).
+        """
+        e = lcm(*(v.conductor for row in self.rows for v in row.values))
+        h = len(self.rows)
+        D, vectors = integer_coordinates(
+            [row.values[k] for k in range(self.num_classes) for row in self.rows], e
+        )
+        columns = tuple(vectors[k * h : (k + 1) * h] for k in range(self.num_classes))
+        return e, D, columns
 
 
 def _apply(matrix, vec, p):

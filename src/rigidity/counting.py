@@ -5,6 +5,13 @@ Two independent routes produce every count: the character-theoretic sum
 the s−1 smallest classes and solves for the member of the largest.  Neither
 route calls the other; `_check_routes` is the one place they are compared.
 
+The character route computes with plain integers.  Each table value is held
+as D times its integer coordinates in the power basis at one conductor e per
+table (`CharacterTable.integer_columns`, e the lcm of the value conductors,
+D a common denominator), products are reduced mod Φ_e, each row is weighted
+by the integer (W/χ(1))^{s−2} with W the lcm of the degrees, and one exact
+division by D^s·W^{s−2}·|G| at the end gives the count.
+
 Solution sets are decomposed into orbits under simultaneous conjugation,
 g·(x₁,…,x_s) = (g⁻¹x₁g, …, g⁻¹x_sg); a tuple of classes is rigid when the
 solution set is nonempty and forms a single orbit.
@@ -15,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 
 from .chartab import CharacterTable
 from .conjugacy import ClassTable, classes_of_element_order
-from .cyclotomic import Cyclotomic
+from .cyclotomic import euler_phi, multiply_mod
 from .errors import CapExceededError, NonIntegerResultError, VerificationError
 from .groups import FiniteGroup, orbit_partition
 
@@ -88,6 +96,28 @@ def _check_routes(ids, count: int, scanned: int) -> None:
         )
 
 
+def _character_sum(CT: CharacterTable, ids, power: int) -> tuple[tuple[int, ...], int]:
+    """(total, scale) with Σ_χ ∏_i χ(g_i)/χ(1)^power = total/scale.
+
+    total = Σ_χ ∏_i D·χ(g_i) · (W/χ(1))^power is an integer vector at the
+    table's conductor e, with W the lcm of the degrees, and scale = D^s·W^power.
+    """
+    e, D, columns = CT.integer_columns
+    degrees = [row.degree for row in CT.rows]
+    W = lcm(*degrees)
+    total = [0] * euler_phi(e)
+    for row, degree in enumerate(degrees):
+        term = columns[ids[0]][row]
+        for i in ids[1:]:
+            if not any(term):
+                break
+            term = multiply_mod(term, columns[i][row], e)
+        weight = (W // degree) ** power
+        for k, c in enumerate(term):
+            total[k] += weight * c
+    return tuple(total), D ** len(ids) * W**power
+
+
 def frobenius_count(CT: CharacterTable, class_ids) -> int:
     """Number of tuples (x₁,…,x_s) ∈ C₁×⋯×C_s with product 1, by characters."""
     ids = _check_ids(class_ids)
@@ -95,20 +125,14 @@ def frobenius_count(CT: CharacterTable, class_ids) -> int:
     for i in ids:
         if not 0 <= i < r:
             raise IndexError(f"class id {i} outside 0..{r - 1}")
-    s = len(ids)
-    total = Cyclotomic.from_rational(0)
-    for row in CT.rows:
-        term = Cyclotomic.from_rational(1)
-        for i in ids:
-            term = term * row.values[i]
-        total = total + term / Fraction(row.degree ** (s - 2))
     sizes_product = 1
     for i in ids:
         sizes_product *= CT.class_sizes[i]
-    scaled = total * Fraction(sizes_product, CT.group_order)
-    if not scaled.is_rational():
+    total, scale = _character_sum(CT, ids, len(ids) - 2)
+    # the power basis starts with 1, so the sum is rational when the rest is 0
+    if any(total[1:]):
         raise NonIntegerResultError(f"character sum is irrational for tuple {ids}")
-    value = scaled.as_rational()
+    value = Fraction(total[0] * sizes_product, scale * CT.group_order)
     if value.denominator != 1 or value < 0:
         raise NonIntegerResultError(
             f"character sum gives non-integer {value} for tuple {ids}"
@@ -127,15 +151,11 @@ def class_algebra_constant(CT: CharacterTable, x: int, y: int, z: int) -> int:
     for i in (x, y, z):
         if not 0 <= i < r:
             raise IndexError(f"class id {i} outside 0..{r - 1}")
-    total = Cyclotomic.from_rational(0)
-    for row in CT.rows:
-        term = row.values[x] * row.values[y] * row.values[z]
-        total = total + term / Fraction(row.degree)
-    scale = Fraction(CT.class_sizes[x] * CT.class_sizes[y], CT.group_order)
-    scaled = total * scale
-    if not scaled.is_rational():
+    total, scale = _character_sum(CT, (x, y, z), 1)
+    if any(total[1:]):
         raise NonIntegerResultError(f"irrational constant for ({x}, {y}, {z})")
-    value = scaled.as_rational()
+    sizes_product = CT.class_sizes[x] * CT.class_sizes[y]
+    value = Fraction(total[0] * sizes_product, scale * CT.group_order)
     if value.denominator != 1 or value < 0:
         raise NonIntegerResultError(
             f"non-integer constant {value} for ({x}, {y}, {z})"

@@ -16,13 +16,16 @@ conductors are never ≡ 2 mod 4.
 
 Only the arithmetic needed by character tables is provided: ring operations,
 scaling and division by rationals, and the conjugation automorphism ζ ↦ ζ⁻¹.
+For sums over a whole table, `integer_coordinates` lifts values to integer
+power-basis vectors at one fixed conductor with one common denominator, and
+`multiply_mod` multiplies such vectors modulo Φ_e without minimizing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 
@@ -315,6 +318,41 @@ class Cyclotomic:
             return f"Cyclotomic({self.coeffs.get(0, _ZERO)!s})"
         terms = ", ".join(f"{k}: {c!s}" for k, c in sorted(self.coeffs.items()))
         return f"Cyclotomic(ζ{self.conductor}; {{{terms}}})"
+
+
+def integer_coordinates(values, e: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, vectors): D·v in the power basis at conductor e for each value v.
+
+    e must be a multiple of every value's conductor; D is the least common
+    denominator of all the lifted coordinates, so D = 1 for algebraic integers.
+    """
+    lifted = [v._lift(e) for v in values]
+    D = lcm(*(c.denominator for vec in lifted for c in vec))
+    return D, tuple(
+        tuple(c.numerator * (D // c.denominator) for c in vec) for vec in lifted
+    )
+
+
+def multiply_mod(a: tuple[int, ...], b: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """Product of two integer power-basis vectors at conductor e, reduced mod Φ_e."""
+    n = len(a)
+    if n == 1:
+        # e = 1 (rational tables): the coordinates are the values themselves
+        return (a[0] * b[0],)
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    cp = cyclotomic_polynomial(e)
+    # Φ_e is monic of degree n: x^k = x^{k-n}·(x^n − Φ_e) + lower terms
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod[k]
+        if c:
+            for i in range(n):
+                prod[k - n + i] -= c * cp[i]
+    return tuple(prod[:n])
 
 
 def zeta(e: int, k: int = 1) -> Cyclotomic:

@@ -330,13 +330,14 @@ def test_audit_ledger_override_errors(capsys, tmp_path):
     missing = tmp_path / "absent.json"
     assert run(capsys, "paper-audit", "--ledger", str(missing))[0] == 2
 
-    # a ledger equal to the embedded one except for the u5 terms below
-    for u5_terms, message in (
-        ([[4, True, True]], "triple-1[2].a_value: bad term [4, True, True]"),
-        ([[-1, 1, 1]], "triple-1[2].a_value: negative degree in term [-1, 1, 1]"),
+    # a ledger equal to the embedded one except for the terms below
+    for u3_centralizer, u5_terms, message in (
+        ([[4, 6, 1]], [[4, True, True]], "triple-1[2].a_value: bad term [4, True, True]"),
+        ([[4, 6, 1]], [[-1, 1, 1]], "triple-1[2].a_value: negative degree in term [-1, 1, 1]"),
+        ([], [[4, 1, 1]], "entry u3: zero centralizer order"),
     ):
         rows = [
-            {"label": "u3", "a_value": [[4, 1, 1]], "centralizer_order": [[4, 6, 1]]},
+            {"label": "u3", "a_value": [[4, 1, 1]], "centralizer_order": u3_centralizer},
             {"label": "u4", "a_value": [[4, 1, 1]], "centralizer_order": [[4, 3, 1]]},
             {"label": "u5", "a_value": u5_terms, "centralizer_order": [[4, 2, 1]]},
         ]
@@ -346,7 +347,7 @@ def test_audit_ledger_override_errors(capsys, tmp_path):
             capsys, "paper-audit", "--section", "5", "--ledger", str(bad_term)
         )
         assert code == 2
-        assert message in err
+        assert f"error: ledger file {bad_term}: {message}" in err
 
 
 def test_audit_text_format(capsys):

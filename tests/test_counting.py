@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 
 from conftest import Q8, charactered
 from rigidity import counting
-from rigidity.chartab import Character, CharacterTable
+from rigidity.chartab import Character
 from rigidity.counting import (
     SolutionSet,
     abc_census,
@@ -21,7 +25,56 @@ from rigidity.counting import (
     rigidity_verdict,
     verdict_from_routes,
 )
+from rigidity.cyclotomic import Cyclotomic, zeta
 from rigidity.errors import CapExceededError, NonIntegerResultError, VerificationError
+
+SL23 = "Mat(3, 2; [1 1 0 1], [0 2 1 0])"
+SL27 = "Mat(7, 2; [1 1 0 1], [0 6 1 0])"
+# irrational values: (1±√5)/2 in Alt(5), ζ₃ in SL(2,3), √−7 and √2 in SL(2,7)
+REFERENCE_NAMES = ("Alt(5)", "Sym(5)", SL23, Q8, SL27)
+
+
+def _reference_value(CT, ids, power, numerator):
+    """(numerator/|G|)·Σ_χ ∏χ(g_i)/χ(1)^power summed with Cyclotomic objects.
+
+    The character route's arithmetic before integer columns, kept as the
+    reference: None when the value is irrational.
+    """
+    total = Cyclotomic.from_rational(0)
+    for row in CT.rows:
+        term = Cyclotomic.from_rational(1)
+        for i in ids:
+            term = term * row.values[i]
+        total = total + term / Fraction(row.degree**power)
+    scaled = total * Fraction(numerator, CT.group_order)
+    return scaled.as_rational() if scaled.is_rational() else None
+
+
+def _reference_frobenius(CT, ids):
+    """frobenius_count's outcome by the reference: ("value", n) or ("error", message)."""
+    value = _reference_value(CT, ids, len(ids) - 2, prod(CT.class_sizes[i] for i in ids))
+    if value is None:
+        return ("error", f"character sum is irrational for tuple {ids}")
+    if value.denominator != 1 or value < 0:
+        return ("error", f"character sum gives non-integer {value} for tuple {ids}")
+    return ("value", int(value))
+
+
+def _reference_constant(CT, x, y, z):
+    """class_algebra_constant's outcome by the reference."""
+    value = _reference_value(CT, (x, y, z), 1, CT.class_sizes[x] * CT.class_sizes[y])
+    if value is None:
+        return ("error", f"irrational constant for ({x}, {y}, {z})")
+    if value.denominator != 1 or value < 0:
+        return ("error", f"non-integer constant {value} for ({x}, {y}, {z})")
+    return ("value", int(value))
+
+
+def _outcome(function, *args):
+    try:
+        return ("value", function(*args))
+    except NonIntegerResultError as exc:
+        return ("error", str(exc))
 
 DUAL_ROUTE_NAMES = (
     "Sym(3)",
@@ -66,21 +119,55 @@ def test_quadruple_counts_match_scan():
         assert frobenius_count(CT, ids) == len(enumerate_solutions(G, T, ids))
 
 
+def _tampered(CT, delta):
+    """CT with delta added to the last value of its last row."""
+    chi = CT.rows[-1]
+    values = chi.values[:-1] + (chi.values[-1] + delta,)
+    return replace(CT, rows=CT.rows[:-1] + (Character(degree=chi.degree, values=values),))
+
+
 def test_non_integer_sum_is_rejected():
     _, _, CT = charactered("Sym(3)")
-    rows = list(CT.rows)
-    chi = rows[-1]
-    values = list(chi.values)
-    values[-1] = values[-1] + 1
-    rows[-1] = Character(degree=chi.degree, values=tuple(values))
-    bad = CharacterTable(
-        group_order=CT.group_order,
-        class_sizes=CT.class_sizes,
-        class_orders=CT.class_orders,
-        rows=tuple(rows),
-    )
     with pytest.raises(NonIntegerResultError):
-        frobenius_count(bad, (2, 2, 2))
+        frobenius_count(_tampered(CT, 1), (2, 2, 2))
+
+
+def test_character_route_matches_the_cyclotomic_reference():
+    for name in REFERENCE_NAMES:
+        _, T, CT = charactered(name)
+        r = T.num_classes
+        for ids in product(range(r), repeat=2):
+            assert _outcome(frobenius_count, CT, ids) == _reference_frobenius(CT, ids)
+        for ids in product(range(r), repeat=3):
+            assert _outcome(frobenius_count, CT, ids) == _reference_frobenius(CT, ids)
+            assert _outcome(class_algebra_constant, CT, *ids) == _reference_constant(
+                CT, *ids
+            )
+    _, T, CT = charactered(SL27)
+    rng = random.Random(7)
+    for _ in range(200):
+        ids = tuple(rng.randrange(T.num_classes) for _ in range(4))
+        assert _outcome(frobenius_count, CT, ids) == _reference_frobenius(CT, ids)
+
+
+def test_tampered_tables_match_the_reference():
+    for name in ("Sym(3)", SL23, "Alt(5)"):
+        _, T, CT = charactered(name)
+        for delta, denominator in ((zeta(5), 1), (Fraction(1, 2), 2)):
+            bad = _tampered(CT, delta)
+            assert bad.integer_columns[1] == denominator
+            outcomes = []
+            for ids in product(range(T.num_classes), repeat=3):
+                outcome = _outcome(frobenius_count, bad, ids)
+                assert outcome == _reference_frobenius(bad, ids), (name, delta, ids)
+                assert _outcome(class_algebra_constant, bad, *ids) == _reference_constant(
+                    bad, *ids
+                )
+                outcomes.append(outcome)
+            if denominator == 1:
+                assert any("irrational" in message for kind, message in outcomes if kind == "error")
+            else:
+                assert any(kind == "error" for kind, _ in outcomes)
 
 
 def test_input_validation():

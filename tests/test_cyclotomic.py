@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -12,6 +14,8 @@ from rigidity.cyclotomic import (
     Cyclotomic,
     cyclotomic_polynomial,
     euler_phi,
+    integer_coordinates,
+    multiply_mod,
     zeta,
 )
 
@@ -141,3 +145,26 @@ def test_from_exponent_map():
 def test_subtraction_orientation():
     assert 1 - zeta(4) == -(zeta(4) - 1)
     assert (3 - Cyclotomic.from_rational(1)) == 2
+
+
+def test_integer_coordinates_and_multiply_mod_agree_with_cyclotomic_products():
+    rng = random.Random(5)
+    for e in (1, 3, 4, 5, 8, 12, 15, 56):
+        for _ in range(20):
+            a, b = (
+                Cyclotomic.from_exponent_map(
+                    e, {rng.randrange(e): Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                        for _ in range(3)}
+                )
+                for _ in range(2)
+            )
+            D, (va, vb, vab) = integer_coordinates([a, b, a * b], e)
+            assert all(len(v) == euler_phi(e) for v in (va, vb, vab))
+            lifted = [c for value in (a, b, a * b) for c in value._lift(e)]
+            assert D == lcm(*(c.denominator for c in lifted))
+            assert (va, vb, vab) == tuple(
+                tuple(D * c for c in value._lift(e)) for value in (a, b, a * b)
+            )
+            assert multiply_mod(va, vb, e) == tuple(D * c for c in vab)
+    D, ((x,), (y,)) = integer_coordinates([Cyclotomic.from_rational(Fraction(3, 4)), ONE], 1)
+    assert (D, x, y) == (4, 3, 4)
