@@ -1,9 +1,21 @@
 """Counting and enumerating class-tuple solutions of x₁x₂⋯x_s = 1.
 
 Two independent routes produce every count: the character-theoretic sum
-(∏|C_i|/|G|)·Σ_χ ∏χ(g_i)/χ(1)^{s−2}, and an exhaustive scan that iterates
-the s−1 smallest classes and solves for the member of the largest.  Neither
-route calls the other; `_check_routes` is the one place they are compared.
+(∏|C_i|/|G|)·Σ_χ ∏χ(g_i)/χ(1)^{s−2}, and an exhaustive scan of the group's
+elements.  Neither route calls the other; `_check_routes` is the one place
+they are compared.
+
+The scan is reduced by conjugation invariance (Serre, *Topics in Galois
+Theory* §7; Völklein, *Groups as Galois Groups* ch. 3).  Conjugating a
+solution conjugates its first entry, and each member of C₁ is reached from
+rep₁ by |C_G(rep₁)| elements, so every member of C₁ starts equally many
+solutions: the count is |C₁| times the number of solutions with x₁ = rep₁.
+The scan fixes x₁ = rep₁, iterates every remaining class but the largest of
+them and solves for that one.  The G-orbits of all solutions correspond one
+to one to the C_G(rep₁)-orbits of those starting with rep₁, and a G-orbit is
+|C₁| times the size of its C_G(rep₁)-orbit.  rep₁ is the least member of
+C₁ (`conjugacy` guarantees it), so each orbit's least tuple starts with
+rep₁ and is the least tuple of its C_G(rep₁)-orbit.
 
 The character route computes with plain integers.  Each table value is held
 as D times its integer coordinates in the power basis at one conductor e per
@@ -22,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm
+from math import lcm, prod
 
 from .chartab import CharacterTable
 from .conjugacy import ClassTable, classes_of_element_order
@@ -35,11 +47,18 @@ DEFAULT_ITERATION_CAP = 100_000_000
 
 @dataclass(frozen=True)
 class SolutionSet:
+    """The solutions of a class tuple whose first entry is rep₁.
+
+    `reduced` holds them in ascending order; the whole set has
+    first_class_size = |C₁| times as many solutions, and `len` counts it.
+    """
+
     class_ids: tuple[int, ...]
-    solutions: tuple[tuple[int, ...], ...]
+    first_class_size: int
+    reduced: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
-        return len(self.solutions)
+        return self.first_class_size * len(self.reduced)
 
 
 @dataclass(frozen=True)
@@ -169,70 +188,81 @@ def enumerate_solutions(
     class_ids,
     cap: int = DEFAULT_ITERATION_CAP,
 ) -> SolutionSet:
-    """Exhaustive scan; iterates all classes but the largest, solves for it."""
+    """Exhaustive scan of the solutions with x₁ = rep₁.
+
+    Iterates every class after the first except the largest of them and
+    solves for that one.  The cap bounds the product of all class sizes but
+    the largest, the iterations of a scan over every x₁.
+    """
     ids = _check_ids(class_ids)
     for i in ids:
         if not 0 <= i < len(T.classes):
             raise IndexError(f"class id {i} outside 0..{len(T.classes) - 1}")
     s = len(ids)
     sizes = [T.classes[i].size for i in ids]
-    m = sizes.index(max(sizes))
-    iterations = 1
-    for pos, size in enumerate(sizes):
-        if pos != m:
-            iterations *= size
+    iterations = prod(sizes) // max(sizes)
     if iterations > cap:
         raise CapExceededError(
             f"scan needs {iterations} iterations, exceeding cap {cap}"
         )
-    positions = [pos for pos in range(s) if pos != m]
+    rest = sizes[1:]
+    m = 1 + rest.index(max(rest))
+    positions = [pos for pos in range(1, s) if pos != m]
     member_lists = [T.classes[ids[pos]].members for pos in positions]
+    rep = T.classes[ids[0]].representative
     target = ids[m]
     class_of = T.class_of
-    solutions = []
+    mult, inverse = G.mult, G.inverse
+    reduced = []
+    assigned = [rep] * s
     for combo in iter_product(*member_lists):
-        assigned: list[int] = [0] * s
         for pos, x in zip(positions, combo):
             assigned[pos] = x
-        pre = 0
-        for pos in range(m):
-            pre = G.mult(pre, assigned[pos])
-        suf = 0
-        for pos in range(m + 1, s):
-            suf = G.mult(suf, assigned[pos])
-        if m == s - 1:
-            xm = G.inverse(pre)
-        elif m == 0:
-            xm = G.inverse(suf)
-        else:
-            xm = G.mult(G.inverse(pre), G.inverse(suf))
+        # x_m = (rep·x₂⋯x_{m−1})⁻¹·(x_{m+1}⋯x_s)⁻¹; for pairs and triples
+        # every product has rep or rep⁻¹ on the left, one memoized row each
+        pre = rep
+        for pos in range(1, m):
+            pre = mult(pre, assigned[pos])
+        xm = inverse(pre)
+        if m < s - 1:
+            suf = assigned[m + 1]
+            for pos in range(m + 2, s):
+                suf = mult(suf, assigned[pos])
+            xm = mult(xm, inverse(suf))
         if class_of[xm] == target:
             assigned[m] = xm
-            solutions.append(tuple(assigned))
-    solutions.sort()
-    return SolutionSet(class_ids=ids, solutions=tuple(solutions))
+            reduced.append(tuple(assigned))
+    reduced.sort()
+    return SolutionSet(
+        class_ids=ids, first_class_size=sizes[0], reduced=tuple(reduced)
+    )
 
 
 def orbit_decomposition(G: FiniteGroup, S: SolutionSet) -> OrbitDecomposition:
-    """Orbits under simultaneous conjugation; representatives are least tuples."""
-    gens = G.generator_indices or (0,)
+    """Orbits under simultaneous conjugation; representatives are least tuples.
+
+    Found as the orbits of C_G(rep₁) on S.reduced; each is the part of one
+    G-orbit |C₁| times its size that starts with rep₁, and holds its least
+    tuple.
+    """
+    if not S.reduced:
+        return OrbitDecomposition(orbits=(), total=0)
     conjugate = G.conjugate
 
     def act(sol, g):
-        return tuple(conjugate(x, g) for x in sol)
+        # g centralizes the first entry
+        return (sol[0], *(conjugate(x, g) for x in sol[1:]))
 
+    gens = G.centralizer_generators(S.reduced[0][0])
     orbits = []
-    for seed, orbit in orbit_partition(S.solutions, gens, act):
-        if G.order % len(orbit) != 0:
+    for seed, orbit in orbit_partition(S.reduced, gens, act):
+        size = S.first_class_size * len(orbit)
+        if G.order % size != 0:
             raise VerificationError("orbit size does not divide the group order")
         orbits.append(
-            Orbit(
-                representative=seed,
-                size=len(orbit),
-                stabilizer_order=G.order // len(orbit),
-            )
+            Orbit(representative=seed, size=size, stabilizer_order=G.order // size)
         )
-    return OrbitDecomposition(orbits=tuple(orbits), total=len(S.solutions))
+    return OrbitDecomposition(orbits=tuple(orbits), total=len(S))
 
 
 def verdict_from_routes(

@@ -6,10 +6,16 @@ right-multiplication with a deduplicated, canonically sorted generator list.
 Element 0 is always the identity and the discovery order is deterministic, so
 two runs over the same generators produce identical tables.
 
-After enumeration all arithmetic is done on element indices.  Product rows are
-memoized lazily; closures that would touch many rows once (conjugation sweeps,
-subgroup generation) fall back to direct element arithmetic, which costs two
-dictionary lookups per step instead of an O(|G|) row fill.
+After enumeration all arithmetic is done on element indices.  `mult`
+memoizes products in one row of |G| ints per left factor, each entry filled
+when it is first asked for.  The solution scan is the one bulk caller of
+`mult`, and for pairs and triples it puts only a class representative or its
+inverse on the left, so a command leaves at most 2·r rows for r classes;
+longer tuples also fill the rows of their partial products.  Closures that
+would touch many rows once (conjugation sweeps, subgroup generation,
+centralizers) use direct element arithmetic instead, two dictionary lookups
+per step and no row.  Centralizer generators are memoized per element; the
+scan asks only for class representatives.
 
 Every closure in the toolkit (subgroups, conjugacy classes, orbits of solution
 tuples) is one call of `orbit`, or of `orbit_partition` when a whole point set
@@ -52,6 +58,19 @@ def orbit(seed, gens, act) -> set:
     return members
 
 
+def _greedy_generators(elements, identity) -> tuple[list, set]:
+    """(kept, generated): walk elements in order, keeping each one not yet
+    generated by the ones kept so far.  The walk is deterministic, so equal
+    inputs give equal choices."""
+    kept: list = []
+    covered = {identity}
+    for x in elements:
+        if x not in covered:
+            kept.append(x)
+            covered = orbit(identity, kept, mul)
+    return kept, covered
+
+
 def orbit_partition(points, gens, act):
     """Yield (least point, orbit) for each orbit in the ascending sequence points.
 
@@ -81,14 +100,13 @@ class FiniteGroup:
         self._rows: list[list[int] | None] = [None] * len(self.elements)
         self._inverses: list[int] | None = None
         self._orders: list[int] = [0] * len(self.elements)
+        self._centralizers: dict[int, tuple[int, ...]] = {}
 
     @classmethod
     def from_closed_elements(cls, elements: list) -> "FiniteGroup":
         """Wrap an already-closed element list (identity first) as a group.
 
-        A generating set is chosen greedily: walk the list in order and keep
-        each element not yet generated by the ones kept so far.  The walk is
-        deterministic, so equal input lists give equal generator choices.
+        The generating set is chosen by `_greedy_generators` in list order.
         """
         elements = list(elements)
         if not elements:
@@ -96,12 +114,7 @@ class FiniteGroup:
         identity = elements[0].identity_element()
         if elements[0] != identity:
             raise ValueError("element 0 must be the identity")
-        gens: list = []
-        covered = {identity}
-        for x in elements[1:]:
-            if x not in covered:
-                gens.append(x)
-                covered = orbit(identity, gens, mul)
+        gens, covered = _greedy_generators(elements[1:], identity)
         if covered != set(elements):
             raise ValueError("element list is not closed under multiplication")
         group = cls(elements, [])
@@ -123,14 +136,14 @@ class FiniteGroup:
             )
 
     def mult(self, i: int, j: int) -> int:
-        """Index of elements[i] * elements[j]; memoizes the full row i."""
+        """Index of elements[i] * elements[j], memoized in row i when first asked."""
         row = self._rows[i]
         if row is None:
-            x = self.elements[i]
-            index = self.index
-            row = [index[x * y] for y in self.elements]
-            self._rows[i] = row
-        return row[j]
+            row = self._rows[i] = [-1] * len(self.elements)
+        k = row[j]
+        if k < 0:
+            k = row[j] = self.index[self.elements[i] * self.elements[j]]
+        return k
 
     def inverse(self, i: int) -> int:
         if self._inverses is None:
@@ -162,6 +175,38 @@ class FiniteGroup:
         self._check_index(i)
         x = self.elements[i]
         return {j for j, y in enumerate(self.elements) if x * y == y * x}
+
+    def centralizer_generators(self, i: int) -> tuple[int, ...]:
+        """Generators of the centralizer of x = elements[i], memoized per element.
+
+        By Schreier's lemma: walk the class of x under conjugation by the
+        stored generators, keeping for each member y an element u_y with
+        u_y⁻¹·x·u_y = y.  Each step y → y^g that the walk does not take
+        gives u_y·g·u_{y^g}⁻¹, which centralizes x, and these generate the
+        centralizer.  Of them, `_greedy_generators` keeps a few in index
+        order, so the choice is deterministic.
+        """
+        gens = self._centralizers.get(i)
+        if gens is None:
+            elements, index = self.elements, self.index
+            transversal = {i: elements[0]}
+            queue = [i]
+            schreier = set()
+            for y in queue:
+                u = transversal[y]
+                for g in self.generator_indices:
+                    z = self.conjugate(y, g)
+                    ug = u * elements[g]
+                    if z not in transversal:
+                        transversal[z] = ug
+                        queue.append(z)
+                    else:
+                        schreier.add(index[ug * transversal[z].inverse()])
+            kept, _ = _greedy_generators(
+                [elements[j] for j in sorted(schreier)], elements[0]
+            )
+            gens = self._centralizers[i] = tuple(index[g] for g in kept)
+        return gens
 
     def subgroup_generated(self, seed) -> set[int]:
         """Index set of the subgroup generated by the seed indices.

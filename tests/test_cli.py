@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -181,6 +182,39 @@ def test_rigid_checks_zero_counts_against_scan(capsys, monkeypatch, selectors):
     assert code == 1
     assert out == ""
     assert "disagrees with scan 120" in err
+
+
+def test_rigid_scan_cap_counts_a_scan_over_every_first_entry(capsys):
+    # the cap bounds the product of all class sizes but the largest, as if
+    # every x₁ were scanned: 10·24 for (1, 4, 5) and 15·24 for (2, 4, 5)
+    code, _, err = run(capsys, "rigid", "Sym(5)", "2", "4", "5", "--cap", "359")
+    assert code == 3
+    assert "scan needs 360 iterations, exceeding cap 359" in err
+    assert run(capsys, "rigid", "Sym(5)", "2", "4", "5", "--cap", "360")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("rigid", "Sym(6)", "2", "4", "5"), ("oracle", "Sym(5)")],
+    ids=["census", "oracle"],
+)
+def test_scan_memoizes_at_most_two_rows_per_class(capsys, monkeypatch, argv):
+    tables = []
+    classes = cli.conjugacy_classes
+    monkeypatch.setattr(cli, "conjugacy_classes", lambda G: tables.append(classes(G)) or tables[-1])
+    assert run(capsys, *argv)[0] == 0
+    (T,) = tables
+    rows = sum(row is not None for row in T.group._rows)
+    assert 0 < rows <= 2 * T.num_classes
+
+
+def test_headline_census_output_is_pinned(capsys):
+    # recorded before the scan was reduced by conjugation: total 10080, 2 orbits
+    code, out, err = run(capsys, "rigid", "Sym(7)", "2", "3", "7", "--format", "structured")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "76a58833f784c029b4a8ca5d8127a046bb9bb51857ef87a32c93cadf6248e286"
+    )
 
 
 def test_rigid_order_mode_needs_three(capsys):

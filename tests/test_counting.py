@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -14,7 +15,8 @@ from conftest import Q8, charactered
 from rigidity import counting
 from rigidity.chartab import Character
 from rigidity.counting import (
-    SolutionSet,
+    Orbit,
+    OrbitDecomposition,
     abc_census,
     class_algebra_constant,
     count_equivalence,
@@ -27,6 +29,7 @@ from rigidity.counting import (
 )
 from rigidity.cyclotomic import Cyclotomic, zeta
 from rigidity.errors import CapExceededError, NonIntegerResultError, VerificationError
+from rigidity.groups import orbit_partition
 
 SL23 = "Mat(3, 2; [1 1 0 1], [0 2 1 0])"
 SL27 = "Mat(7, 2; [1 1 0 1], [0 6 1 0])"
@@ -75,6 +78,55 @@ def _outcome(function, *args):
         return ("value", function(*args))
     except NonIntegerResultError as exc:
         return ("error", str(exc))
+
+
+class _FullScan:
+    """The scan and orbit routes without the centralizer reduction, kept as
+    the reference for one group.
+
+    No entry is fixed: the first s−2 entries of a tuple are iterated, and the
+    last two are looked up by their product in a table of all their pairs.
+    Orbits are those of G itself on every solution.
+    """
+
+    def __init__(self, G, T):
+        self.G, self.T = G, T
+        self.conjugation = [
+            [G.conjugate(x, g) for x in range(G.order)] for g in G.generator_indices
+        ]
+        self._pairs = {}
+
+    def _pairs_by_product(self, y, z):
+        if (y, z) not in self._pairs:
+            table = self._pairs[y, z] = defaultdict(list)
+            for b in self.T.classes[y].members:
+                for c in self.T.classes[z].members:
+                    table[self.G.mult(b, c)].append((b, c))
+        return self._pairs[y, z]
+
+    def solutions(self, ids):
+        """Every solution of x₁⋯x_s = 1 in the class tuple, ascending."""
+        G = self.G
+        pairs = self._pairs_by_product(*ids[-2:])
+        solutions = []
+        for head in product(*(self.T.classes[i].members for i in ids[:-2])):
+            h = 0
+            for x in head:
+                h = G.mult(h, x)
+            solutions.extend(head + pair for pair in pairs.get(G.inverse(h), ()))
+        return sorted(solutions)
+
+    def decomposition(self, solutions):
+        """The orbits of G on the solutions, least tuples first."""
+        order = self.G.order
+        orbits = tuple(
+            Orbit(representative=seed, size=len(orbit), stabilizer_order=order // len(orbit))
+            for seed, orbit in orbit_partition(
+                solutions, self.conjugation, lambda sol, t: tuple(map(t.__getitem__, sol))
+            )
+        )
+        return OrbitDecomposition(orbits=orbits, total=len(solutions))
+
 
 DUAL_ROUTE_NAMES = (
     "Sym(3)",
@@ -170,6 +222,32 @@ def test_tampered_tables_match_the_reference():
                 assert any(kind == "error" for kind, _ in outcomes)
 
 
+# Sym(6) relabelled, so that its element indices and class representatives
+# differ from those of the built-in Sym(6)
+SYM6_RELABELLED = "Perm(6; (0 2), (0 2 3 5 4 1))"
+
+
+def test_reduced_route_matches_the_full_scan():
+    def check(reference, ids):
+        G, T = reference.G, reference.T
+        reduced = orbit_decomposition(G, enumerate_solutions(G, T, ids))
+        assert reduced == reference.decomposition(reference.solutions(ids)), ids
+
+    for name in REFERENCE_NAMES:
+        reference = _FullScan(*charactered(name)[:2])
+        for repeat in (2, 3):
+            for ids in product(range(reference.T.num_classes), repeat=repeat):
+                check(reference, ids)
+        if name == SL27:
+            rng = random.Random(7)
+            for _ in range(200):
+                check(reference, tuple(rng.randrange(reference.T.num_classes) for _ in range(4)))
+    reference = _FullScan(*charactered(SYM6_RELABELLED)[:2])
+    rng = random.Random(6)
+    for repeat in (2, 3) * 10:
+        check(reference, tuple(rng.randrange(reference.T.num_classes) for _ in range(repeat)))
+
+
 def test_input_validation():
     G, T, CT = charactered("Sym(4)")
     with pytest.raises(ValueError):
@@ -192,13 +270,16 @@ def test_solutions_multiply_to_identity_within_classes():
     G, T, _ = charactered("Alt(5)")
     ids = (1, 2, 3)
     S = enumerate_solutions(G, T, ids)
-    for sol in S.solutions:
+    full = _FullScan(G, T).solutions(ids)
+    rep = T.classes[ids[0]].representative
+    assert S.reduced == tuple(sol for sol in full if sol[0] == rep)
+    assert len(S) == len(full) == T.classes[ids[0]].size * len(S.reduced)
+    for sol in S.reduced:
         acc = G.identity_index
         for x in sol:
             acc = G.mult(acc, x)
         assert acc == G.identity_index
         assert tuple(T.class_of[x] for x in sol) == ids
-    assert list(S.solutions) == sorted(S.solutions)
 
 
 def test_orbit_invariants():
@@ -206,12 +287,13 @@ def test_orbit_invariants():
         G, T, _ = charactered(name)
         S = enumerate_solutions(G, T, ids)
         dec = orbit_decomposition(G, S)
-        assert dec.total == len(S)
+        full = _FullScan(G, T).solutions(ids)
+        assert dec.total == len(S) == len(full)
         assert sum(o.size for o in dec.orbits) == dec.total
         for o in dec.orbits:
             assert G.order % o.size == 0
             assert o.size * o.stabilizer_order == G.order
-            assert o.representative in S.solutions
+            assert o.representative in full
 
 
 def test_orbits_are_closed_and_representatives_least():
@@ -331,11 +413,11 @@ def test_census_orbits_match_the_union_decomposition():
     for name, orders in (("Alt(4)", (2, 2, 2)), ("Alt(5)", (2, 5, 5)), ("Sym(4)", (2, 3, 4))):
         G, T, _ = charactered(name)
         census = abc_census(G, T, *orders)
+        reference = _FullScan(G, T)
         union = sorted(
-            sol for ids, _ in census.per_tuple
-            for sol in enumerate_solutions(G, T, ids).solutions
+            sol for ids, _ in census.per_tuple for sol in reference.solutions(ids)
         )
-        whole = orbit_decomposition(G, SolutionSet(class_ids=(), solutions=tuple(union)))
+        whole = reference.decomposition(union)
         assert census.total == whole.total
         assert [(o.representative, o.size, o.stabilizer_order) for o in census.orbits] == [
             (o.representative, o.size, o.stabilizer_order) for o in whole.orbits

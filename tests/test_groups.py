@@ -110,6 +110,15 @@ def test_centralizer_sizes():
     assert len(G.centralizer(0)) == G.order
 
 
+def test_centralizer_generators_generate_the_centralizer():
+    for name in ("Sym(5)", Q8, "Alt(5)", "Dih(2)", "Cyc(6)"):
+        G = group(name)
+        for i in range(G.order):
+            gens = G.centralizer_generators(i)
+            assert G.subgroup_generated(gens) == G.centralizer(i), (name, i)
+            assert G.centralizer_generators(i) is gens
+
+
 def test_closure_cap():
     gens = [
         Permutation.from_cycles(5, [(0, 1)]),
