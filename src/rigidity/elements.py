@@ -5,15 +5,28 @@ matrices over a prime field F_p.  Both expose the same small surface (product,
 inverse, identity, canonical byte encoding) so the enumeration machinery in
 `groups` can stay agnostic of the realization.
 
+The public constructors (`Permutation(images)`, `Permutation.identity`,
+`Permutation.from_cycles`, `PrimeFieldMatrix(p, entries)`,
+`PrimeFieldMatrix.identity`, `PrimeFieldMatrix.from_flat`) validate their
+input.  Products and inverses of valid elements are valid by construction, so
+they are built unchecked: `object.__new__`, then the slots are set, with no
+`sorted(images)` check and no reduction mod p.  `__mul__` still rejects
+factors of different degree or modulus.
+
 `row_reduce` is the one Gauss–Jordan elimination over F_p: matrix inverses
 here and the eigenspace split in `chartab` both call it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import mul
 from typing import Union
 
 from .errors import IncompatibleGeneratorsError, SingularMatrixError
+
+
+_new = object.__new__
 
 
 class Permutation:
@@ -32,6 +45,14 @@ class Permutation:
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
         return cls(range(degree))
+
+    @classmethod
+    def _unchecked(cls, degree: int, images: tuple) -> "Permutation":
+        """A permutation from an image tuple already known to be valid."""
+        result = _new(cls)
+        result.degree = degree
+        result.images = images
+        return result
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> "Permutation":
@@ -63,19 +84,19 @@ class Permutation:
                 f"degree mismatch: {self.degree} vs {other.degree}"
             )
         s = self.images
-        return Permutation(s[x] for x in other.images)
+        return Permutation._unchecked(self.degree, tuple([s[x] for x in other.images]))
 
     def inverse(self) -> "Permutation":
         images = [0] * self.degree
         for i, x in enumerate(self.images):
             images[x] = i
-        return Permutation(images)
+        return Permutation._unchecked(self.degree, tuple(images))
 
     def identity_element(self) -> "Permutation":
         return Permutation.identity(self.degree)
 
     def is_identity(self) -> bool:
-        return all(x == i for i, x in enumerate(self.images))
+        return self.images == tuple(range(self.degree))
 
     def encode(self) -> bytes:
         """Canonical encoding; lexicographic order matches image-tuple order."""
@@ -161,7 +182,16 @@ class PrimeFieldMatrix:
 
     @classmethod
     def identity(cls, p: int, n: int) -> "PrimeFieldMatrix":
-        return cls(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(p, _identity_rows(n))
+
+    @classmethod
+    def _unchecked(cls, p: int, n: int, entries: tuple) -> "PrimeFieldMatrix":
+        """A matrix from rows already square and reduced to [0, p)."""
+        result = _new(cls)
+        result.p = p
+        result.n = n
+        result.entries = entries
+        return result
 
     @classmethod
     def from_flat(cls, p: int, n: int, flat) -> "PrimeFieldMatrix":
@@ -177,12 +207,12 @@ class PrimeFieldMatrix:
             raise IncompatibleGeneratorsError(
                 f"matrix shape/modulus mismatch: ({self.n}, {self.p}) vs ({other.n}, {other.p})"
             )
-        p, n = self.p, self.n
-        a, b = self.entries, other.entries
-        cols = list(zip(*b))
-        return PrimeFieldMatrix(
+        p = self.p
+        cols = tuple(zip(*other.entries))
+        return PrimeFieldMatrix._unchecked(
             p,
-            [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a],
+            self.n,
+            tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in self.entries]),
         )
 
     def determinant(self) -> int:
@@ -211,13 +241,13 @@ class PrimeFieldMatrix:
         reduced, pivots = row_reduce(m, n, p)
         if len(pivots) < n:
             raise SingularMatrixError(f"matrix is singular mod {p}: {self.entries!r}")
-        return PrimeFieldMatrix(p, [row[n:] for row in reduced])
+        return PrimeFieldMatrix._unchecked(p, n, tuple([tuple(row[n:]) for row in reduced]))
 
     def identity_element(self) -> "PrimeFieldMatrix":
         return PrimeFieldMatrix.identity(self.p, self.n)
 
     def is_identity(self) -> bool:
-        return self == PrimeFieldMatrix.identity(self.p, self.n)
+        return self.entries == _identity_rows(self.n)
 
     def encode(self) -> bytes:
         """Canonical encoding; lexicographic order matches row-major entry order."""
@@ -246,6 +276,11 @@ class PrimeFieldMatrix:
 
     def __repr__(self):
         return f"PrimeFieldMatrix(p={self.p}, {list(map(list, self.entries))})"
+
+
+@lru_cache(maxsize=None)
+def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 GroupElement = Union[Permutation, PrimeFieldMatrix]

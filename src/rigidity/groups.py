@@ -11,11 +11,20 @@ memoizes products in one row of |G| ints per left factor, each entry filled
 when it is first asked for.  The solution scan is the one bulk caller of
 `mult`, and for pairs and triples it puts only a class representative or its
 inverse on the left, so a command leaves at most 2·r rows for r classes;
-longer tuples also fill the rows of their partial products.  Closures that
-would touch many rows once (conjugation sweeps, subgroup generation,
-centralizers) use direct element arithmetic instead, two dictionary lookups
-per step and no row.  Centralizer generators are memoized per element; the
-scan asks only for class representatives.
+longer tuples also fill the rows of their partial products.
+
+Conjugation by the stored generators is read from index rows.  The
+enumeration computes x·g for every element x and stored generator g and keeps
+the index it finds as R_g, a list of |G| ints.  With ι the inverse map,
+g⁻¹xg = ι(R_g(ι(R_g(x)))), so the whole conjugation row of g is built from
+index lookups alone, once per generator on first use, and then replaces R_g.
+Class sweeps, the centralizer walk, the derived subgroup and the fingerprint
+of the whole group read these rows.  Groups wrapped from a closed element list
+(`from_closed_elements`) have no R_g; they, and conjugators that are not
+stored generators, use element arithmetic.  Subgroup generation and the
+centralizer transversal also use element arithmetic, which fills no row.
+Centralizer generators are memoized per element; the scan asks only for class
+representatives.
 
 Every closure in the toolkit (subgroups, conjugacy classes, orbits of solution
 tuples) is one call of `orbit`, or of `orbit_partition` when a whole point set
@@ -31,6 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Callable
 from operator import mul
 
 from .elements import GroupElement, Permutation, PrimeFieldMatrix
@@ -56,6 +66,10 @@ def orbit(seed, gens, act) -> set:
                 members.add(y)
                 queue.append(y)
     return members
+
+
+def _row_entry(x: int, row: list[int]) -> int:
+    return row[x]
 
 
 def _greedy_generators(elements, identity) -> tuple[list, set]:
@@ -89,14 +103,18 @@ def orbit_partition(points, gens, act):
 class FiniteGroup:
     """A fully enumerated finite group; element 0 is the identity."""
 
-    def __init__(self, elements: list, generator_indices):
+    def __init__(self, elements: list, generator_indices, index=None, right_rows=None):
+        """index, when given, maps each element to its position; right_rows
+        maps a stored generator g to the list of indices of x·g over all x."""
         self.elements: list[GroupElement] = list(elements)
-        self.index: dict[GroupElement, int] = {
-            g: i for i, g in enumerate(self.elements)
-        }
-        if len(self.index) != len(self.elements):
-            raise ValueError("duplicate elements in group table")
+        if index is None:
+            index = {g: i for i, g in enumerate(self.elements)}
+            if len(index) != len(self.elements):
+                raise ValueError("duplicate elements in group table")
+        self.index: dict[GroupElement, int] = index
         self.generator_indices: tuple[int, ...] = tuple(generator_indices)
+        self._right_rows: dict[int, list[int]] = dict(right_rows or {})
+        self._conjugation_rows: dict[int, list[int]] = {}
         self._rows: list[list[int] | None] = [None] * len(self.elements)
         self._inverses: list[int] | None = None
         self._orders: list[int] = [0] * len(self.elements)
@@ -146,16 +164,45 @@ class FiniteGroup:
         return k
 
     def inverse(self, i: int) -> int:
+        return self._inverse_map()[i]
+
+    def _inverse_map(self) -> list[int]:
         if self._inverses is None:
             index = self.index
             self._inverses = [index[g.inverse()] for g in self.elements]
-        return self._inverses[i]
+        return self._inverses
 
     def conjugate(self, i: int, g: int) -> int:
-        """Index of g⁻¹ x g for x = elements[i]."""
+        """Index of g⁻¹ x g for x = elements[i]; read from g's conjugation row
+        when it has one, else computed by element arithmetic."""
+        row = self.conjugation_row(g)
+        if row is not None:
+            return row[i]
         ge = self.elements[g]
         inv = self.elements[self.inverse(g)]
         return self.index[inv * self.elements[i] * ge]
+
+    def conjugation_row(self, g: int) -> list[int] | None:
+        """Index of g⁻¹xg for every index x, or None when the enumeration left
+        no row R_g for g (g not a stored generator, or a group wrapped from a
+        closed element list).  Built from R_g on first use, which it replaces."""
+        row = self._conjugation_rows.get(g)
+        if row is None:
+            right = self._right_rows.pop(g, None)
+            if right is None:
+                return None
+            inv = self._inverse_map()
+            row = self._conjugation_rows[g] = [inv[right[inv[k]]] for k in right]
+        return row
+
+    def conjugation_action(self) -> tuple[list, Callable[[int, object], int]]:
+        """(conjugators, act) with act(x, c) the index of g⁻¹xg, c standing for
+        each stored generator g in turn: its conjugation row when there is one,
+        else g itself, acted on by `conjugate`."""
+        rows = [self.conjugation_row(g) for g in self.generator_indices]
+        if rows and all(row is not None for row in rows):
+            return rows, _row_entry
+        return list(self.generator_indices), self.conjugate
 
     def element_order(self, i: int) -> int:
         """Least k ≥ 1 with elements[i]^k = identity."""
@@ -189,13 +236,14 @@ class FiniteGroup:
         gens = self._centralizers.get(i)
         if gens is None:
             elements, index = self.elements, self.index
+            conjugators, act = self.conjugation_action()
             transversal = {i: elements[0]}
             queue = [i]
             schreier = set()
             for y in queue:
                 u = transversal[y]
-                for g in self.generator_indices:
-                    z = self.conjugate(y, g)
+                for g, c in zip(self.generator_indices, conjugators):
+                    z = act(y, c)
                     ug = u * elements[g]
                     if z not in transversal:
                         transversal[z] = ug
@@ -236,14 +284,15 @@ class FiniteGroup:
                 ia, ib = self.inverse(a), self.inverse(b)
                 seed.add(self.mult(self.mult(self.mult(ia, ib), a), b))
         closure_seed = sorted(seed)
+        conjugators, act = self.conjugation_action()
         while True:
             members = self.subgroup_generated(closure_seed)
             grew = False
             for h in sorted(members):
-                for g in gens:
-                    c = self.conjugate(h, g)
-                    if c not in members:
-                        closure_seed.append(c)
+                for c in conjugators:
+                    y = act(h, c)
+                    if y not in members:
+                        closure_seed.append(y)
                         grew = True
             if not grew:
                 return members
@@ -265,14 +314,12 @@ class FiniteGroup:
         orbits under conjugation by the seed (or by the stored generators).
         """
         if seed is None:
-            gens = self.generator_indices or (0,)
+            gens, act = self.conjugation_action()
             members = range(self.order)
         else:
-            gens = sorted(set(seed))
+            gens, act = sorted(set(seed)), self.conjugate
             members = sorted(self.subgroup_generated(gens))
-        sizes = sorted(
-            len(c) for _, c in orbit_partition(members, gens, self.conjugate)
-        )
+        sizes = sorted(len(c) for _, c in orbit_partition(members, gens, act))
         profile = Counter(self.element_order(i) for i in members)
         return (len(members), tuple(sizes), tuple(sorted(profile.items())))
 
@@ -300,21 +347,25 @@ def closure_enumerate(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
     identity = first.identity_element()
     elements = [identity]
     index = {identity: 0}
+    # right[k][x] is the index of elements[x] * unique[k], the index dict's own int
+    right = [[] for _ in unique]
     qi = 0
     while qi < len(elements):
         x = elements[qi]
         qi += 1
-        for g in unique:
+        for g, row in zip(unique, right):
             y = x * g
-            if y not in index:
+            k = index.get(y)
+            if k is None:
                 if len(elements) >= cap:
                     raise CapExceededError(
                         f"closure exceeded the cap of {cap} elements"
                     )
-                index[y] = len(elements)
+                k = index[y] = len(elements)
                 elements.append(y)
-    group = FiniteGroup(elements, [index[g] for g in unique])
-    return group
+            row.append(k)
+    gen_indices = [index[g] for g in unique]
+    return FiniteGroup(elements, gen_indices, index, dict(zip(gen_indices, right)))
 
 
 def so3_enumerate(p: int) -> FiniteGroup:

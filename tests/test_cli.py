@@ -217,6 +217,15 @@ def test_headline_census_output_is_pinned(capsys):
     )
 
 
+def test_sym7_character_table_output_is_pinned(capsys):
+    # recorded before products of valid elements were built unchecked
+    code, out, err = run(capsys, "chartab", "Sym(7)")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "af3265af5df64e4dc9db147d3fa4742695419e67cdcc66398dd3d1692f91019a"
+    )
+
+
 def test_rigid_order_mode_needs_three(capsys):
     assert run(capsys, "rigid", "Sym(5)", "2", "4")[0] == 2
 

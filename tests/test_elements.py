@@ -155,6 +155,59 @@ def test_hash_consistency():
     assert m1 == m2 and hash(m1) == hash(m2)
 
 
+def test_unchecked_permutation_products_equal_validated_ones():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        a = Permutation(rng.sample(range(n), n))
+        b = Permutation(rng.sample(range(n), n))
+        for got, images in (
+            (a * b, [a.images[b.images[x]] for x in range(n)]),
+            (a.inverse(), [a.images.index(x) for x in range(n)]),
+        ):
+            want = Permutation(images)
+            assert got == want and hash(got) == hash(want)
+            assert got.images == want.images and got.degree == want.degree == n
+        assert (a * a.inverse()).is_identity()
+
+
+def test_unchecked_matrix_products_equal_validated_ones():
+    rng = random.Random(11)
+    for k in range(200):
+        p, n = (5, 7)[k % 2], (2, 3)[k // 2 % 2]
+        a, b = (
+            PrimeFieldMatrix(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+            for _ in range(2)
+        )
+        # unreduced entries, reduced by the validating constructor
+        naive = [[sum(a.entries[i][t] * b.entries[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        got, want = a * b, PrimeFieldMatrix(p, naive)
+        assert got == want and hash(got) == hash(want)
+        assert got.entries == want.entries and (got.p, got.n) == (p, n)
+        if a.determinant():
+            inv = a.inverse()
+            want = PrimeFieldMatrix(p, inv.entries)
+            assert inv == want and hash(inv) == hash(want) and (inv.p, inv.n) == (p, n)
+            assert (a * inv).is_identity() and (inv * a).is_identity()
+        assert a.is_identity() == (a == PrimeFieldMatrix.identity(p, n))
+
+
+def test_products_of_products_still_check_degree_and_modulus():
+    c = Permutation.from_cycles(4, [(0, 1, 2)])
+    with pytest.raises(IncompatibleGeneratorsError):
+        (c * c).inverse() * Permutation.identity(5)
+    m = PrimeFieldMatrix(5, ((1, 1), (0, 1)))
+    with pytest.raises(IncompatibleGeneratorsError):
+        (m * m).inverse() * PrimeFieldMatrix(7, ((1, 1), (0, 1)))
+    with pytest.raises(IncompatibleGeneratorsError):
+        (m * m) * PrimeFieldMatrix.identity(5, 3)
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation((0, 0, 1))
+    with pytest.raises(ValueError, match="not square"):
+        PrimeFieldMatrix(5, ((1, 2), (3,)))
+    assert PrimeFieldMatrix(5, ((6, 0), (0, 11))).is_identity()
+
+
 def square_matrices_mod_p():
     """Every 2x2 matrix mod 3, then seeded-random 3x3 matrices mod 5 and mod 7."""
     for flat in product(range(3), repeat=4):

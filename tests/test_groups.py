@@ -84,6 +84,34 @@ def test_conjugate_matches_element_arithmetic():
             assert G.elements[G.conjugate(i, g)] == expected
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "Sym(5)",
+        "Alt(6)",
+        "Mat(7, 2; [1 1 0 1], [0 6 1 0])",
+        Q8,
+        "Perm(6; (0 2), (0 2 3 5 4 1))",
+        "SO3(5)",
+    ],
+)
+def test_generator_conjugation_rows_match_element_arithmetic(spec):
+    G = group(spec)
+    els = G.elements
+    conjugators, act = G.conjugation_action()
+    assert len(conjugators) == len(G.generator_indices)
+    for g, c in zip(G.generator_indices, conjugators):
+        row = G.conjugation_row(g)
+        # SO3(5) is wrapped from a closed element list, so it has no rows
+        assert (row is None) == (spec == "SO3(5)")
+        inv = els[g].inverse()
+        for x in range(G.order):
+            expected = G.index[inv * els[x] * els[g]]
+            assert act(x, c) == G.conjugate(x, g) == expected
+            if row is not None:
+                assert row[x] == expected
+
+
 def test_element_order_matches_naive_powers():
     G = group("Sym(4)")
     for i in range(G.order):
