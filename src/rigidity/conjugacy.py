@@ -2,9 +2,10 @@
 
 Classes are the orbits (`groups.orbit_partition`) under conjugation by the
 stored generators only; that suffices because the generators generate, and it
-costs O(|G| · #generators) conjugations instead of O(|G|²).  For an enumerated
-group each conjugation is one read of a generator's conjugation row
-(`FiniteGroup.conjugation_action`), with no element product.
+costs O(|G| · #generators) conjugations instead of O(|G|²).  Each is one
+call of `FiniteGroup.conjugate`; for an enumerated group it reads the
+generator's conjugation row, built from the enumeration with no element
+product.
 
 The class ordering convention is fixed project-wide: sort by (element order,
 class size, least member index).  The identity class therefore always gets
@@ -47,10 +48,11 @@ class ClassTable:
 def conjugacy_classes(G: FiniteGroup) -> ClassTable:
     """Partition G into conjugacy classes, sorted by the fixed convention."""
     n = G.order
-    gens, act = G.conjugation_action()
     keyed = sorted(
         (G.element_order(least), len(members), least, tuple(sorted(members)))
-        for least, members in orbit_partition(range(n), gens, act)
+        for least, members in orbit_partition(
+            range(n), G.generator_indices, G.conjugate
+        )
     )
     classes = []
     class_of = [0] * n

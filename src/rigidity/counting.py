@@ -247,18 +247,10 @@ def orbit_decomposition(G: FiniteGroup, S: SolutionSet) -> OrbitDecomposition:
     """
     if not S.reduced:
         return OrbitDecomposition(orbits=(), total=0)
-    # the same (entry, generator) pair recurs across tuples; memoized for this call only
-    conjugated: dict[tuple[int, int], int] = {}
-
-    def conjugate(x, g):
-        y = conjugated.get((x, g))
-        if y is None:
-            y = conjugated[x, g] = G.conjugate(x, g)
-        return y
 
     def act(sol, g):
         # g centralizes the first entry
-        return (sol[0], *(conjugate(x, g) for x in sol[1:]))
+        return (sol[0], *(G.conjugate(x, g) for x in sol[1:]))
 
     gens = G.centralizer_generators(S.reduced[0][0])
     orbits = []

@@ -13,18 +13,20 @@ when it is first asked for.  The solution scan is the one bulk caller of
 inverse on the left, so a command leaves at most 2·r rows for r classes;
 longer tuples also fill the rows of their partial products.
 
-Conjugation by the stored generators is read from index rows.  The
-enumeration computes x·g for every element x and stored generator g and keeps
-the index it finds as R_g, a list of |G| ints.  With ι the inverse map,
-g⁻¹xg = ι(R_g(ι(R_g(x)))), so the whole conjugation row of g is built from
-index lookups alone, once per generator on first use, and then replaces R_g.
-Class sweeps, the centralizer walk, the derived subgroup and the fingerprint
-of the whole group read these rows.  Groups wrapped from a closed element list
-(`from_closed_elements`) have no R_g; they, and conjugators that are not
-stored generators, use element arithmetic.  Subgroup generation and the
-centralizer transversal also use element arithmetic, which fills no row.
-Centralizer generators are memoized per element; the scan asks only for class
-representatives.
+`conjugate` is the one conjugation path, memoized the same way: one row of
+|G| ints per conjugator g, holding g⁻¹xg at position x.  The enumeration
+computes x·g for every element x and stored generator g and keeps the index
+it finds as R_g.  With ι the inverse map, g⁻¹xg = ι(R_g(ι(R_g(x)))), so a
+stored generator's row is built whole from index lookups alone on first use,
+and then replaces R_g.  Any other conjugator's row starts empty and is filled
+an entry at a time by element arithmetic; so are the rows of groups wrapped
+from a closed element list (`from_closed_elements`), which keep no R_g.  The
+conjugators the program uses are the stored generators, the centralizer
+generators of class representatives and the entries that seed a census
+fingerprint, so the memo holds one |G|-int row for each distinct one of them.
+Subgroup generation and the centralizer transversal use element arithmetic,
+which fills no row.  Centralizer generators are memoized per element; the
+scan asks only for class representatives.
 
 Every closure in the toolkit (subgroups, conjugacy classes, orbits of solution
 tuples) is one call of `orbit`, or of `orbit_partition` when a whole point set
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Callable
 from operator import mul
 
 from .elements import GroupElement, Permutation, PrimeFieldMatrix
@@ -66,10 +67,6 @@ def orbit(seed, gens, act) -> set:
                 members.add(y)
                 queue.append(y)
     return members
-
-
-def _row_entry(x: int, row: list[int]) -> int:
-    return row[x]
 
 
 def _greedy_generators(elements, identity) -> tuple[list, set]:
@@ -105,7 +102,10 @@ class FiniteGroup:
 
     def __init__(self, elements: list, generator_indices, index=None, right_rows=None):
         """index, when given, maps each element to its position; right_rows
-        maps a stored generator g to the list of indices of x·g over all x."""
+        maps a stored generator g to the list of indices of x·g over all x.
+
+        Two memos grow on demand, each one row of |G| ints: products by left
+        factor (`mult`) and conjugations by conjugator (`conjugate`)."""
         self.elements: list[GroupElement] = list(elements)
         if index is None:
             index = {g: i for i, g in enumerate(self.elements)}
@@ -114,8 +114,8 @@ class FiniteGroup:
         self.index: dict[GroupElement, int] = index
         self.generator_indices: tuple[int, ...] = tuple(generator_indices)
         self._right_rows: dict[int, list[int]] = dict(right_rows or {})
-        self._conjugation_rows: dict[int, list[int]] = {}
         self._rows: list[list[int] | None] = [None] * len(self.elements)
+        self._conjugates: dict[int, list[int]] = {}
         self._inverses: list[int] | None = None
         self._orders: list[int] = [0] * len(self.elements)
         self._centralizers: dict[int, tuple[int, ...]] = {}
@@ -173,36 +173,27 @@ class FiniteGroup:
         return self._inverses
 
     def conjugate(self, i: int, g: int) -> int:
-        """Index of g⁻¹ x g for x = elements[i]; read from g's conjugation row
-        when it has one, else computed by element arithmetic."""
-        row = self.conjugation_row(g)
-        if row is not None:
-            return row[i]
-        ge = self.elements[g]
-        inv = self.elements[self.inverse(g)]
-        return self.index[inv * self.elements[i] * ge]
+        """Index of g⁻¹ x g for x = elements[i], memoized in g's row.
 
-    def conjugation_row(self, g: int) -> list[int] | None:
-        """Index of g⁻¹xg for every index x, or None when the enumeration left
-        no row R_g for g (g not a stored generator, or a group wrapped from a
-        closed element list).  Built from R_g on first use, which it replaces."""
-        row = self._conjugation_rows.get(g)
-        if row is None:
+        A stored generator's row is built whole from R_g, which it replaces;
+        any other row is filled an entry at a time by element arithmetic."""
+        try:
+            row = self._conjugates[g]
+        except KeyError:
             right = self._right_rows.pop(g, None)
             if right is None:
-                return None
-            inv = self._inverse_map()
-            row = self._conjugation_rows[g] = [inv[right[inv[k]]] for k in right]
-        return row
-
-    def conjugation_action(self) -> tuple[list, Callable[[int, object], int]]:
-        """(conjugators, act) with act(x, c) the index of g⁻¹xg, c standing for
-        each stored generator g in turn: its conjugation row when there is one,
-        else g itself, acted on by `conjugate`."""
-        rows = [self.conjugation_row(g) for g in self.generator_indices]
-        if rows and all(row is not None for row in rows):
-            return rows, _row_entry
-        return list(self.generator_indices), self.conjugate
+                row = [-1] * len(self.elements)
+            else:
+                inv = self._inverse_map()
+                row = [inv[right[inv[k]]] for k in right]
+            self._conjugates[g] = row
+        k = row[i]
+        if k < 0:
+            elements = self.elements
+            k = row[i] = self.index[
+                elements[self.inverse(g)] * elements[i] * elements[g]
+            ]
+        return k
 
     def element_order(self, i: int) -> int:
         """Least k ≥ 1 with elements[i]^k = identity."""
@@ -236,14 +227,13 @@ class FiniteGroup:
         gens = self._centralizers.get(i)
         if gens is None:
             elements, index = self.elements, self.index
-            conjugators, act = self.conjugation_action()
             transversal = {i: elements[0]}
             queue = [i]
             schreier = set()
             for y in queue:
                 u = transversal[y]
-                for g, c in zip(self.generator_indices, conjugators):
-                    z = act(y, c)
+                for g in self.generator_indices:
+                    z = self.conjugate(y, g)
                     ug = u * elements[g]
                     if z not in transversal:
                         transversal[z] = ug
@@ -273,24 +263,25 @@ class FiniteGroup:
     def derived_subgroup(self) -> set[int]:
         """Index set of the commutator subgroup.
 
-        Seeded by commutators of the stored generators; the derived subgroup
+        Seeded by commutators of the stored generators, formed by element
+        arithmetic so that no `mult` row is filled; the derived subgroup
         is the normal closure of that seed, computed by alternating subgroup
         closure with conjugation by generators until stable.
         """
         gens = self.generator_indices or (0,)
+        elements, index = self.elements, self.index
         seed = {0}
         for a in gens:
             for b in gens:
-                ia, ib = self.inverse(a), self.inverse(b)
-                seed.add(self.mult(self.mult(self.mult(ia, ib), a), b))
+                x, y = elements[a], elements[b]
+                seed.add(index[x.inverse() * y.inverse() * x * y])
         closure_seed = sorted(seed)
-        conjugators, act = self.conjugation_action()
         while True:
             members = self.subgroup_generated(closure_seed)
             grew = False
             for h in sorted(members):
-                for c in conjugators:
-                    y = act(h, c)
+                for g in gens:
+                    y = self.conjugate(h, g)
                     if y not in members:
                         closure_seed.append(y)
                         grew = True
@@ -314,12 +305,11 @@ class FiniteGroup:
         orbits under conjugation by the seed (or by the stored generators).
         """
         if seed is None:
-            gens, act = self.conjugation_action()
-            members = range(self.order)
+            gens, members = self.generator_indices, range(self.order)
         else:
-            gens, act = sorted(set(seed)), self.conjugate
+            gens = sorted(set(seed))
             members = sorted(self.subgroup_generated(gens))
-        sizes = sorted(len(c) for _, c in orbit_partition(members, gens, act))
+        sizes = sorted(len(c) for _, c in orbit_partition(members, gens, self.conjugate))
         profile = Counter(self.element_order(i) for i in members)
         return (len(members), tuple(sizes), tuple(sorted(profile.items())))
 

@@ -14,6 +14,7 @@ import pytest
 from conftest import Q8, charactered
 from rigidity import counting
 from rigidity.chartab import Character
+from rigidity.conjugacy import conjugacy_classes
 from rigidity.counting import (
     Orbit,
     OrbitDecomposition,
@@ -30,6 +31,7 @@ from rigidity.counting import (
 from rigidity.cyclotomic import Cyclotomic, zeta
 from rigidity.errors import CapExceededError, NonIntegerResultError, VerificationError
 from rigidity.groups import orbit_partition
+from rigidity.groupspec import build_group
 
 SL23 = "Mat(3, 2; [1 1 0 1], [0 2 1 0])"
 SL27 = "Mat(7, 2; [1 1 0 1], [0 6 1 0])"
@@ -422,6 +424,20 @@ def test_census_orbits_match_the_union_decomposition():
         assert [(o.representative, o.size, o.stabilizer_order) for o in census.orbits] == [
             (o.representative, o.size, o.stabilizer_order) for o in whole.orbits
         ]
+
+
+@pytest.mark.parametrize(
+    "spec, orders",
+    [("Perm(6; (0 2), (0 2 3 5 4 1))", (2, 4, 5)), (SL27, (3, 4, 7))],
+    ids=["relabelled-Sym(6)", "SL(2,7)"],
+)
+def test_census_is_the_same_on_a_warm_conjugation_memo(spec, orders):
+    G = build_group(spec)
+    T = conjugacy_classes(G)
+    first = abc_census(G, T, *orders)
+    assert abc_census(G, T, *orders) == first
+    fresh = build_group(spec)
+    assert abc_census(fresh, conjugacy_classes(fresh), *orders) == first
 
 
 def test_census_on_even_subgroup():

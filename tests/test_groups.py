@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from conftest import Q8, Q8_FLATS, group
 
+from rigidity.conjugacy import conjugacy_classes
 from rigidity.elements import Permutation, PrimeFieldMatrix
 from rigidity.errors import (
     CapExceededError,
@@ -28,6 +29,7 @@ from rigidity.groups import (
     so3_group,
     sym_group,
 )
+from rigidity.groupspec import build_group
 
 
 def test_builder_orders():
@@ -74,16 +76,6 @@ def test_inverse_table():
         assert G.mult(G.inverse(i), i) == 0
 
 
-def test_conjugate_matches_element_arithmetic():
-    G = group(Q8)
-    for i in range(G.order):
-        for g in range(G.order):
-            expected = (
-                G.elements[G.inverse(g)] * G.elements[i] * G.elements[g]
-            )
-            assert G.elements[G.conjugate(i, g)] == expected
-
-
 @pytest.mark.parametrize(
     "spec",
     [
@@ -95,21 +87,25 @@ def test_conjugate_matches_element_arithmetic():
         "SO3(5)",
     ],
 )
-def test_generator_conjugation_rows_match_element_arithmetic(spec):
-    G = group(spec)
+def test_conjugate_matches_element_arithmetic(spec):
+    # a fresh group, so the first answer of each conjugation fills the memo
+    G = build_group(spec)
     els = G.elements
-    conjugators, act = G.conjugation_action()
-    assert len(conjugators) == len(G.generator_indices)
-    for g, c in zip(G.generator_indices, conjugators):
-        row = G.conjugation_row(g)
-        # SO3(5) is wrapped from a closed element list, so it has no rows
-        assert (row is None) == (spec == "SO3(5)")
-        inv = els[g].inverse()
-        for x in range(G.order):
-            expected = G.index[inv * els[x] * els[g]]
-            assert act(x, c) == G.conjugate(x, g) == expected
-            if row is not None:
-                assert row[x] == expected
+
+    def check(conjugators):
+        for g in conjugators:
+            inv = els[g].inverse()
+            for x in range(G.order):
+                expected = G.index[inv * els[x] * els[g]]
+                # the second answer comes from the memo
+                assert G.conjugate(x, g) == G.conjugate(x, g) == expected
+
+    # SO3(5) is wrapped from a closed element list, so its rows fill entry by entry
+    check(G.generator_indices)
+    T = conjugacy_classes(G)
+    check({g for c in T.classes for g in G.centralizer_generators(c.representative)})
+    if spec == Q8:
+        check(range(G.order))
 
 
 def test_element_order_matches_naive_powers():
@@ -256,6 +252,13 @@ def test_derived_subgroups():
     assert len(dih_group(4).derived_subgroup()) == 2
     # perfect group: derived subgroup is everything
     assert len(alt_group(5).derived_subgroup()) == 60
+
+
+@pytest.mark.parametrize("spec", ["SO3(5)", "Sym(5)"])
+def test_derived_subgroup_fills_no_cayley_row(spec):
+    G = build_group(spec)
+    G.derived_subgroup()
+    assert G._rows == [None] * G.order
 
 
 def test_derived_subgroup_is_normal():
