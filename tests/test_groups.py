@@ -76,6 +76,19 @@ def test_inverse_table():
         assert G.mult(G.inverse(i), i) == 0
 
 
+def test_conjugate_matches_element_arithmetic():
+    # a fresh group, so the first answer of each conjugation fills the memo
+    G = build_group(Q8)
+    for i in range(G.order):
+        for g in range(G.order):
+            expected = (
+                G.elements[G.inverse(g)] * G.elements[i] * G.elements[g]
+            )
+            # the second answer comes from the memo
+            assert G.elements[G.conjugate(i, g)] == expected
+            assert G.elements[G.conjugate(i, g)] == expected
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -87,8 +100,7 @@ def test_inverse_table():
         "SO3(5)",
     ],
 )
-def test_conjugate_matches_element_arithmetic(spec):
-    # a fresh group, so the first answer of each conjugation fills the memo
+def test_generator_conjugation_rows_match_element_arithmetic(spec):
     G = build_group(spec)
     els = G.elements
 
@@ -100,12 +112,16 @@ def test_conjugate_matches_element_arithmetic(spec):
                 # the second answer comes from the memo
                 assert G.conjugate(x, g) == G.conjugate(x, g) == expected
 
-    # SO3(5) is wrapped from a closed element list, so its rows fill entry by entry
+    for g in G.generator_indices:
+        G.conjugate(0, g)
+        # an enumerated group's generator row is built whole from R_g, which
+        # it replaces; SO3(5) is wrapped from a closed element list, so its
+        # rows fill entry by entry
+        assert (-1 in G._conjugates[g]) == (spec == "SO3(5)")
+        assert g not in G._right_rows
     check(G.generator_indices)
     T = conjugacy_classes(G)
     check({g for c in T.classes for g in G.centralizer_generators(c.representative)})
-    if spec == Q8:
-        check(range(G.order))
 
 
 def test_element_order_matches_naive_powers():
