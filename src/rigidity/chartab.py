@@ -6,14 +6,17 @@ irreducible character χ the scaled values ω(k) = |C_k|·χ(g_k)/χ(1) form a
 simultaneous right eigenvector of all structure-constant matrices:
 (A_j · ω)_i = ω(j)·ω(i).  The table is recovered in five exact steps:
 
-1. count the integer matrices A_j;
+1. count the integer matrix A_j when the split first reaches class j, once per
+   table: a retry at the next prime reduces the same A_j mod its own p;
 2. pick a prime p ≡ 1 (mod exponent) with p > 2√|G|.  Such p cannot divide
    |G|: a prime divisor q of |G| divides the exponent (Cauchy), forcing
    p ≡ 1 (mod q), so the class algebra over F_p is semisimple and F_p holds
    every needed root of unity;
 3. split F_p^r into common eigenspaces by the matrices A_j in increasing j,
-   eigenvalues scanned ascending; each surviving line, scaled to value 1 at
-   the identity class, is one ω-vector mod p;
+   until every space is a line.  On each space the eigenvalues are the roots
+   of the characteristic polynomial of A_j restricted to it, taken in
+   ascending order with one kernel computed per root; each line, scaled to
+   value 1 at the identity class, is one ω-vector mod p;
 4. recover each degree from d² = |G| / Σ_k ω(k)·ω(k')/|C_k| (k' the inverse
    class), unique as an integer ≤ √|G| < p/2;
 5. lift each value by the inverse discrete Fourier transform over power-map
@@ -50,12 +53,13 @@ class ClassMatrix:
     entries: tuple[tuple[int, ...], ...]
 
 
-def class_matrices(T: ClassTable, G: FiniteGroup) -> list[ClassMatrix]:
-    """Count all structure-constant matrices exactly."""
+def class_matrices(T: ClassTable, G: FiniteGroup, ids=None) -> list[ClassMatrix]:
+    """Count the structure-constant matrices of the classes ids (default all) exactly."""
     r = len(T.classes)
     reps = [G.elements[c.representative] for c in T.classes]
     out = []
-    for c in T.classes:
+    for j in range(r) if ids is None else ids:
+        c = T.classes[j]
         entries = [[0] * r for _ in range(r)]
         for x in c.members:
             # xy = z  ⟺  y = x⁻¹z; tally the class y lands in
@@ -160,17 +164,70 @@ def _kernel_mod(matrix, p):
     return basis
 
 
+def _charpoly_mod(matrix, p):
+    """Coefficients of det(λI − matrix) over F_p, constant term first.
+
+    Reduces a copy to upper Hessenberg form H by similarity, then expands
+    the leading principal minors of λI − H along their last column, O(m³)."""
+    m = len(matrix)
+    H = [[x % p for x in row] for row in matrix]
+    for k in range(m - 2):
+        pivot = next((i for i in range(k + 1, m) if H[i][k]), None)
+        if pivot is None:
+            continue
+        if pivot != k + 1:
+            H[pivot], H[k + 1] = H[k + 1], H[pivot]
+            for row in H:
+                row[pivot], row[k + 1] = row[k + 1], row[pivot]
+        inv = pow(H[k + 1][k], -1, p)
+        for i in range(k + 2, m):
+            u = H[i][k] * inv % p
+            if u:
+                # row i −= u·row k+1, then column k+1 += u·column i
+                H[i] = [(a - u * b) % p for a, b in zip(H[i], H[k + 1])]
+                for row in H:
+                    row[k + 1] = (row[k + 1] + u * row[i]) % p
+    # polys[n] = det(λI − H[:n, :n]); the product t runs over subdiagonal entries
+    polys = [[1]]
+    for n in range(1, m + 1):
+        prev = polys[-1]
+        poly = [0] + prev
+        for d, c in enumerate(prev):
+            poly[d] = (poly[d] - H[n - 1][n - 1] * c) % p
+        t = 1
+        for i in range(1, n):
+            t = t * H[n - i][n - i - 1] % p
+            if not t:
+                break
+            scale = t * H[n - 1 - i][n - 1] % p
+            for d, c in enumerate(polys[n - 1 - i]):
+                poly[d] = (poly[d] - scale * c) % p
+        polys.append(poly)
+    return polys[m]
+
+
 def _split_space(basis, A, p):
-    """Split an invariant subspace into eigenspaces of A, eigenvalues ascending."""
+    """Split an invariant subspace into eigenspaces of A, eigenvalues ascending.
+
+    The eigenvalues are the roots mod p of the characteristic polynomial of A
+    restricted to the subspace, found by evaluating it at λ = 0, 1, … until
+    the eigenspaces fill the subspace; only a root costs a kernel.  Raises
+    SplitFailure when they do not fill it (A not diagonalizable here)."""
     m = len(basis)
     images = [_apply(A, v, p) for v in basis]
     coords = _coordinates(basis, images, p)
     # restriction acts on V-coordinates x by x ↦ Mt·x with Mt[i][b] = coords[b][i]
+    charpoly = _charpoly_mod([[coords[b][i] for b in range(m)] for i in range(m)], p)
     pieces = []
     found = 0
     for lam in range(p):
         if found == m:
             break
+        value = 0
+        for c in reversed(charpoly):
+            value = (value * lam + c) % p
+        if value:
+            continue
         shifted = [
             [(coords[b][i] - (lam if i == b else 0)) % p for b in range(m)]
             for i in range(m)
@@ -200,21 +257,20 @@ def _least_primitive_root(p: int, e: int) -> int:
     raise SplitFailureError(f"no primitive {e}-th root mod {p}")
 
 
-def _attempt(G: FiniteGroup, T: ClassTable, int_mats, p: int, e: int) -> CharacterTable:
+def _attempt(G: FiniteGroup, T: ClassTable, class_matrix, p: int, e: int) -> CharacterTable:
+    """One split and lift at p; class_matrix(j) gives the integer A_j."""
     r = len(T.classes)
-    mats_mod = [
-        tuple(tuple(x % p for x in row) for row in M.entries) for M in int_mats
-    ]
     spaces = [[tuple(1 if i == k else 0 for i in range(r)) for k in range(r)]]
     for j in range(1, r):
         if all(len(b) == 1 for b in spaces):
             break
+        A = tuple(tuple(x % p for x in row) for row in class_matrix(j).entries)
         new_spaces = []
         for basis in spaces:
             if len(basis) == 1:
                 new_spaces.append(basis)
             else:
-                new_spaces.extend(_split_space(basis, mats_mod[j], p))
+                new_spaces.extend(_split_space(basis, A, p))
         spaces = new_spaces
     if any(len(b) != 1 for b in spaces):
         raise SplitFailureError(f"{sum(1 for b in spaces if len(b) > 1)} eigenspaces left unsplit")
@@ -285,15 +341,24 @@ def _attempt(G: FiniteGroup, T: ClassTable, int_mats, p: int, e: int) -> Charact
 
 
 def character_table(G: FiniteGroup, T: ClassTable) -> CharacterTable:
-    """Exact character table; retries with the next prime on a failed split."""
+    """Exact character table; retries with the next prime on a failed split.
+
+    Each class matrix is counted the first time a split needs it and kept
+    for the retries of this call."""
     exponent = lcm(*T.element_order_of_class)
-    mats = class_matrices(T, G)
+    built: dict[int, ClassMatrix] = {}
+
+    def class_matrix(j: int) -> ClassMatrix:
+        if j not in built:
+            (built[j],) = class_matrices(T, G, (j,))
+        return built[j]
+
     primes = _admissible_primes(exponent, G.order)
     failure: SplitFailureError | None = None
     for _ in range(4):
         p = next(primes)
         try:
-            return _attempt(G, T, mats, p, exponent)
+            return _attempt(G, T, class_matrix, p, exponent)
         except SplitFailureError as exc:
             failure = exc
     raise SplitFailureError("splitting failed for four admissible primes") from failure

@@ -155,6 +155,8 @@ class FiniteGroup:
 
     def mult(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j], memoized in row i when first asked."""
+        if i < 0 or j < 0:
+            self._check_index(min(i, j))
         row = self._rows[i]
         if row is None:
             row = self._rows[i] = [-1] * len(self.elements)
@@ -177,6 +179,8 @@ class FiniteGroup:
 
         A stored generator's row is built whole from R_g, which it replaces;
         any other row is filled an entry at a time by element arithmetic."""
+        if i < 0 or g < 0:
+            self._check_index(min(i, g))
         try:
             row = self._conjugates[g]
         except KeyError:

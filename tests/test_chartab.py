@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import Q8, charactered, classed
+from rigidity import chartab
 from rigidity.chartab import (
     Character,
     CharacterTable,
+    _charpoly_mod,
     character_table,
     class_matrices,
     dixon_prime,
     verify_orthogonality,
 )
 from rigidity.cyclotomic import Cyclotomic
+from rigidity.elements import PrimeFieldMatrix
+from rigidity.errors import SplitFailureError
 from rigidity.murnaghan import align_to_class_table, murnaghan_nakayama
 
 ALL_NAMES = (
@@ -41,6 +46,13 @@ def test_class_matrix_row_sums():
         for i, row in enumerate(mat.entries):
             total = sum(a * T.classes[k].size for k, a in enumerate(row))
             assert total == T.classes[mat.j].size * T.classes[i].size
+
+
+def test_class_matrices_of_chosen_ids():
+    G, T = classed("Sym(4)")
+    every = class_matrices(T, G)
+    assert [M.j for M in every] == list(range(T.num_classes))
+    assert class_matrices(T, G, (3, 1)) == [every[3], every[1]]
 
 
 def test_identity_class_matrix_is_identity():
@@ -175,3 +187,81 @@ def test_rotation_group_table_matches_its_shadow():
     lhs = sorted(tuple(v.sort_key() for v in chi.values) for chi in CT5.rows)
     rhs = sorted(tuple(v.sort_key() for v in chi.values) for chi in CTS.rows)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("p", (7, 13, 337))
+def test_characteristic_polynomial_matches_determinants(p):
+    rng = random.Random(p)
+    mats = [
+        [[rng.randrange(p) for _ in range(m)] for _ in range(m)]
+        for m in range(1, 7)
+        for _ in range(3)
+    ]
+    # block triangular: Hessenberg reduction meets a column that is zero
+    # below the diagonal and skips it
+    mats.append([[1, 2, 3, 4], [5, 6, 7, 8], [0, 0, 2, 3], [0, 0, 4, 5]])
+    # zero on the subdiagonal but not below it: rows and columns swap
+    mats.append([[1, 2, 3], [0, 4, 5], [6, 7, 8]])
+    mats.append([[3 if i == j else 0 for j in range(5)] for i in range(5)])
+    for M in mats:
+        poly = _charpoly_mod(M, p)
+        assert len(poly) == len(M) + 1 and poly[-1] == 1
+        for lam in range(p):
+            shifted = PrimeFieldMatrix(
+                p, [[(lam if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(M)]
+            )
+            value = sum(c * pow(lam, d, p) for d, c in enumerate(poly)) % p
+            assert value == shifted.determinant()
+
+
+def _count_builds(monkeypatch):
+    """Record the class id of every matrix built and every kernel computed."""
+    built, kernels = [], []
+    count, kernel = chartab.class_matrices, chartab._kernel_mod
+
+    def counted(T, G, ids=None):
+        mats = count(T, G, ids)
+        built.extend(M.j for M in mats)
+        return mats
+
+    def recorded(matrix, p):
+        kernels.append(kernel(matrix, p))
+        return kernels[-1]
+
+    monkeypatch.setattr(chartab, "class_matrices", counted)
+    monkeypatch.setattr(chartab, "_kernel_mod", recorded)
+    return built, kernels
+
+
+@pytest.mark.parametrize(
+    "spec, needed",
+    [("Sym(6)", 2), ("Sym(7)", 1), ("Alt(7)", 7), ("Mat(7, 2; [1 1 0 1], [0 6 1 0])", 7)],
+)
+def test_split_builds_only_the_class_matrices_it_reaches(monkeypatch, spec, needed):
+    G, T = classed(spec)
+    built, kernels = _count_builds(monkeypatch)
+    character_table(G, T)
+    # the split reaches classes 1, 2, … in order, each matrix counted once
+    assert built == list(range(1, needed + 1))
+    # one kernel per eigenspace: no row reduction at a λ that is no root
+    assert all(kernels)
+
+
+def test_retry_reuses_the_class_matrices(monkeypatch):
+    spec = "Alt(7)"
+    G, T = classed(spec)
+    _, _, expected = charactered(spec)
+    built, _ = _count_builds(monkeypatch)
+    attempt, primes = chartab._attempt, []
+
+    def fail_once(G, T, class_matrix, p, e):
+        primes.append(p)
+        table = attempt(G, T, class_matrix, p, e)
+        if len(primes) == 1:
+            raise SplitFailureError("forced retry")
+        return table
+
+    monkeypatch.setattr(chartab, "_attempt", fail_once)
+    assert character_table(G, T) == expected
+    assert primes[0] < primes[1] and len(primes) == 2
+    assert built and len(built) == len(set(built))

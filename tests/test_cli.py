@@ -226,6 +226,16 @@ def test_sym7_character_table_output_is_pinned(capsys):
     )
 
 
+def test_sym8_character_table_output_is_pinned(capsys):
+    # recorded before class matrices were built on demand and eigenvalues
+    # found as roots of the restricted characteristic polynomial
+    code, out, err = run(capsys, "chartab", "Sym(8)")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b88b486ae128937d84f1ee5a79d25b24135d033446917f118323dd9b1d04d9d3"
+    )
+
+
 def test_rigid_order_mode_needs_three(capsys):
     assert run(capsys, "rigid", "Sym(5)", "2", "4")[0] == 2
 

@@ -89,6 +89,16 @@ def test_conjugate_matches_element_arithmetic():
             assert G.elements[G.conjugate(i, g)] == expected
 
 
+def test_negative_indices_raise_and_memoize_nothing():
+    G = build_group("Sym(3)")
+    calls = ((G.conjugate, -1, 1), (G.conjugate, 0, -1), (G.mult, -1, 0))
+    for method, i, j in calls:
+        with pytest.raises(IndexError, match=r"element index -1 outside 0\.\.5"):
+            method(i, j)
+    assert G._conjugates == {}
+    assert G._rows == [None] * G.order
+
+
 @pytest.mark.parametrize(
     "spec",
     [
