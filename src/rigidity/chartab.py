@@ -34,12 +34,18 @@ most three retries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
 
 from .conjugacy import ClassTable, power_classes
-from .cyclotomic import Cyclotomic, _prime_factors, integer_coordinates
+from .cyclotomic import (
+    Cyclotomic,
+    _prime_factors,
+    conjugate_mod,
+    euler_phi,
+    integer_coordinates,
+    multiply_mod,
+)
 from .elements import row_reduce
 from .errors import SplitFailureError
 from .groups import FiniteGroup, _is_prime
@@ -371,27 +377,36 @@ class OrthogonalityReport:
 
 
 def verify_orthogonality(ct: CharacterTable) -> OrthogonalityReport:
-    """Exact first and second orthogonality relations, first violation reported."""
-    order = Fraction(ct.group_order)
-    rows = ct.rows
-    r = len(rows)
+    """Exact first and second orthogonality relations, first violation reported.
+
+    Sums run on `ct.integer_columns`, which hold D·χ, so each sum is D² times
+    its value.  The second relation Σ_χ χ(g_k)·conj χ(g_l) = δ_kl·|G|/|C_k|
+    is checked multiplied through by |C_k|, so both compare with D²·|G|·δ."""
+    e, D, columns = ct.integer_columns
+    conjugates = [[conjugate_mod(v, e) for v in column] for column in columns]
+    target = D * D * ct.group_order
+    sizes = ct.class_sizes
+
+    def holds(weighted_pairs, diagonal: bool) -> bool:
+        total = [0] * euler_phi(e)
+        for weight, x, y in weighted_pairs:
+            for i, c in enumerate(multiply_mod(x, y, e)):
+                total[i] += weight * c
+        expected = target if diagonal else 0
+        return total[0] == expected and not any(total[1:])
+
+    r = len(ct.rows)
     for a in range(r):
         for b in range(a, r):
-            total = Cyclotomic.from_rational(0)
-            for k, size in enumerate(ct.class_sizes):
-                total = total + rows[a].values[k] * rows[b].values[k].conjugate() * size
-            expected = order if a == b else Fraction(0)
-            if total != expected:
+            pairs = zip(sizes, (col[a] for col in columns), (conj[b] for conj in conjugates))
+            if not holds(pairs, a == b):
                 return OrthogonalityReport(
                     passed=False, failure=f"row orthogonality fails for rows {a}, {b}"
                 )
-    for k in range(len(ct.class_sizes)):
-        for l in range(k, len(ct.class_sizes)):
-            total = Cyclotomic.from_rational(0)
-            for row in rows:
-                total = total + row.values[k] * row.values[l].conjugate()
-            expected = order / ct.class_sizes[k] if k == l else Fraction(0)
-            if total != expected:
+    for k in range(len(sizes)):
+        for l in range(k, len(sizes)):
+            pairs = ((sizes[k], x, y) for x, y in zip(columns[k], conjugates[l]))
+            if not holds(pairs, k == l):
                 return OrthogonalityReport(
                     passed=False, failure=f"column orthogonality fails for classes {k}, {l}"
                 )

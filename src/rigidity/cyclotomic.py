@@ -1,6 +1,6 @@
-"""Exact arithmetic in cyclotomic fields.
+"""Exact values in cyclotomic fields, and integer arithmetic on their coordinates.
 
-A value is stored as rational coordinates over the power basis
+A `Cyclotomic` value is stored as rational coordinates over the power basis
 {ζ_e^k : 0 ≤ k < φ(e)} modulo the e-th cyclotomic polynomial, with e the
 minimal conductor admitting the value.  The representation is unique, so
 equality is structural and hashing is safe.  Since the power basis of ζ_e is
@@ -14,18 +14,20 @@ basis vectors is solvable.  This drops e ≡ 2 (mod 4) conductors automatically
 (those fields coincide with their odd-conductor subfield), so stored
 conductors are never ≡ 2 mod 4.
 
-Only the arithmetic needed by character tables is provided: ring operations,
-scaling and division by rationals, and the conjugation automorphism ζ ↦ ζ⁻¹.
-For sums over a whole table, `integer_coordinates` lifts values to integer
-power-basis vectors at one fixed conductor with one common denominator, and
-`multiply_mod` multiplies such vectors modulo Φ_e without minimizing.
+`Cyclotomic` is a value type: it is built (`from_rational`,
+`from_exponent_map`, `zeta`), compared, hashed, ordered and printed, and
+has no arithmetic operators.  All arithmetic runs on integer vectors at one
+fixed conductor: `integer_coordinates` lifts values to integer power-basis
+vectors with one common denominator, `multiply_mod` multiplies two of them
+and `conjugate_mod` applies ζ ↦ ζ⁻¹ (complex conjugation), both reduced
+mod Φ_e without minimizing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 _ZERO = Fraction(0)
 
@@ -214,72 +216,6 @@ class Cyclotomic:
                     vec[i] += c * b
         return vec
 
-    def _binary(self, other) -> "tuple[int, list[Fraction], list[Fraction]] | None":
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other)
-        elif not isinstance(other, Cyclotomic):
-            return None
-        L = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
-        return L, self._lift(L), other._lift(L)
-
-    def __add__(self, other):
-        packed = self._binary(other)
-        if packed is None:
-            return NotImplemented
-        L, a, b = packed
-        return Cyclotomic._canonical(L, [x + y for x, y in zip(a, b)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic(self.conductor, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        packed = self._binary(other)
-        if packed is None:
-            return NotImplemented
-        L, a, b = packed
-        return Cyclotomic._canonical(L, [x - y for x, y in zip(a, b)])
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if other == 0:
-                return Cyclotomic(1, {})
-            return Cyclotomic(self.conductor, {k: c * other for k, c in self.coeffs.items()})
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        e1, e2 = self.conductor, other.conductor
-        L = e1 * e2 // gcd(e1, e2)
-        s1, s2 = L // e1, L // e2
-        exponent_map: dict[int, Fraction] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = (k1 * s1 + k2 * s2) % L
-                exponent_map[k] = exponent_map.get(k, _ZERO) + c1 * c2
-        return Cyclotomic.from_exponent_map(L, exponent_map)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if other == 0:
-                raise ZeroDivisionError("division of a cyclotomic by zero")
-            return self * (1 / other)
-        return NotImplemented
-
-    def conjugate(self) -> "Cyclotomic":
-        """Image under the automorphism ζ ↦ ζ⁻¹ (complex conjugation)."""
-        e = self.conductor
-        return Cyclotomic.from_exponent_map(e, {(-k) % e: c for k, c in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_rational(self) -> bool:
         return self.conductor == 1
 
@@ -287,10 +223,6 @@ class Cyclotomic:
         if self.conductor != 1:
             raise ValueError(f"not a rational value: {self!r}")
         return self.coeffs.get(0, _ZERO)
-
-    def is_integral(self) -> bool:
-        """True when the value is an algebraic integer."""
-        return all(c.denominator == 1 for c in self.coeffs.values())
 
     def sort_key(self) -> tuple:
         """Deterministic total order on values; the value 1 sorts first."""
@@ -333,6 +265,20 @@ def integer_coordinates(values, e: int) -> tuple[int, tuple[tuple[int, ...], ...
     )
 
 
+def _reduce_mod(coeffs: list[int], e: int) -> tuple[int, ...]:
+    """Integer polynomial coeffs (low degree first, at least φ(e) of them)
+    reduced mod Φ_e to its φ(e) power-basis coordinates; overwrites coeffs."""
+    cp = cyclotomic_polynomial(e)
+    n = len(cp) - 1
+    # Φ_e is monic of degree n: x^k = x^{k-n}·(x^n − Φ_e) + lower terms
+    for k in range(len(coeffs) - 1, n - 1, -1):
+        c = coeffs[k]
+        if c:
+            for i in range(n):
+                coeffs[k - n + i] -= c * cp[i]
+    return tuple(coeffs[:n])
+
+
 def multiply_mod(a: tuple[int, ...], b: tuple[int, ...], e: int) -> tuple[int, ...]:
     """Product of two integer power-basis vectors at conductor e, reduced mod Φ_e."""
     n = len(a)
@@ -346,20 +292,19 @@ def multiply_mod(a: tuple[int, ...], b: tuple[int, ...], e: int) -> tuple[int, .
             for j, y in enumerate(b):
                 if y:
                     prod[i + j] += x * y
-    cp = cyclotomic_polynomial(e)
-    # Φ_e is monic of degree n: x^k = x^{k-n}·(x^n − Φ_e) + lower terms
-    for k in range(2 * n - 2, n - 1, -1):
-        c = prod[k]
-        if c:
-            for i in range(n):
-                prod[k - n + i] -= c * cp[i]
-    return tuple(prod[:n])
+    return _reduce_mod(prod, e)
+
+
+def conjugate_mod(vec: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """Image of an integer power-basis vector at conductor e under ζ ↦ ζ⁻¹,
+    reduced mod Φ_e."""
+    image = [0] * e
+    for k, c in enumerate(vec):
+        image[-k % e] += c
+    return _reduce_mod(image, e)
 
 
 def zeta(e: int, k: int = 1) -> Cyclotomic:
     """The root of unity ζ_e^k in canonical form."""
     return Cyclotomic.from_exponent_map(e, {k: 1})
 
-
-ZERO = Cyclotomic(1, {})
-ONE = Cyclotomic(1, {0: Fraction(1)})

@@ -154,14 +154,22 @@ class FiniteGroup:
             )
 
     def mult(self, i: int, j: int) -> int:
-        """Index of elements[i] * elements[j], memoized in row i when first asked."""
+        """Index of elements[i] * elements[j], memoized in row i when first asked.
+
+        An index past the end is checked only where it would fail, so a memo
+        hit costs no check."""
         if i < 0 or j < 0:
             self._check_index(min(i, j))
-        row = self._rows[i]
-        if row is None:
-            row = self._rows[i] = [-1] * len(self.elements)
-        k = row[j]
+        try:
+            row = self._rows[i]
+            k = -1 if row is None else row[j]
+        except IndexError:
+            self._check_index(max(i, j))
+            raise
         if k < 0:
+            if row is None:
+                self._check_index(j)
+                row = self._rows[i] = [-1] * len(self.elements)
             k = row[j] = self.index[self.elements[i] * self.elements[j]]
         return k
 
@@ -178,12 +186,18 @@ class FiniteGroup:
         """Index of g⁻¹ x g for x = elements[i], memoized in g's row.
 
         A stored generator's row is built whole from R_g, which it replaces;
-        any other row is filled an entry at a time by element arithmetic."""
+        any other row is filled an entry at a time by element arithmetic.
+        As in `mult`, an index past the end is checked only where it would
+        fail."""
         if i < 0 or g < 0:
             self._check_index(min(i, g))
         try:
             row = self._conjugates[g]
+            k = row[i]
         except KeyError:
+            # g's first conjugation: check both before memoizing its row
+            self._check_index(g)
+            self._check_index(i)
             right = self._right_rows.pop(g, None)
             if right is None:
                 row = [-1] * len(self.elements)
@@ -191,7 +205,10 @@ class FiniteGroup:
                 inv = self._inverse_map()
                 row = [inv[right[inv[k]]] for k in right]
             self._conjugates[g] = row
-        k = row[i]
+            k = row[i]
+        except IndexError:
+            self._check_index(i)
+            raise
         if k < 0:
             elements = self.elements
             k = row[i] = self.index[

@@ -109,31 +109,20 @@ def _is_scalar(value) -> bool:
 
 def render_text(obj, indent: int = 0) -> str:
     pad = "  " * indent
-    lines = []
     if isinstance(obj, dict):
-        for key, value in obj.items():
-            if _is_scalar(value):
-                lines.append(f"{pad}{key}: {_scalar_text(value)}")
-            elif isinstance(value, (list, tuple)) and all(
-                _is_scalar(v) for v in value
-            ):
-                inner = ", ".join(_scalar_text(v) for v in value)
-                lines.append(f"{pad}{key}: [{inner}]")
-            else:
-                lines.append(f"{pad}{key}:")
-                lines.append(render_text(value, indent + 1))
+        items = ((f"{key}:", value) for key, value in obj.items())
     elif isinstance(obj, (list, tuple)):
-        for value in obj:
-            if _is_scalar(value):
-                lines.append(f"{pad}- {_scalar_text(value)}")
-            elif isinstance(value, (list, tuple)) and all(
-                _is_scalar(v) for v in value
-            ):
-                inner = ", ".join(_scalar_text(v) for v in value)
-                lines.append(f"{pad}- [{inner}]")
-            else:
-                lines.append(f"{pad}-")
-                lines.append(render_text(value, indent + 1))
+        items = (("-", value) for value in obj)
     else:
-        lines.append(f"{pad}{_scalar_text(obj)}")
+        return f"{pad}{_scalar_text(obj)}"
+    lines = []
+    for label, value in items:
+        if _is_scalar(value):
+            lines.append(f"{pad}{label} {_scalar_text(value)}")
+        elif isinstance(value, (list, tuple)) and all(_is_scalar(v) for v in value):
+            inner = ", ".join(_scalar_text(v) for v in value)
+            lines.append(f"{pad}{label} [{inner}]")
+        else:
+            lines.append(f"{pad}{label}")
+            lines.append(render_text(value, indent + 1))
     return "\n".join(lines)

@@ -7,18 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Q8, charactered, classed
+from conftest import Q8, SL23, SL27, charactered, classed, cyclotomic_sum, tampered
 from rigidity import chartab
 from rigidity.chartab import (
-    Character,
-    CharacterTable,
     _charpoly_mod,
     character_table,
     class_matrices,
     dixon_prime,
     verify_orthogonality,
 )
-from rigidity.cyclotomic import Cyclotomic
+from rigidity.cyclotomic import zeta
 from rigidity.elements import PrimeFieldMatrix
 from rigidity.errors import SplitFailureError
 from rigidity.murnaghan import align_to_class_table, murnaghan_nakayama
@@ -69,22 +67,21 @@ def test_scaled_rows_are_simultaneous_eigenvectors():
         mats = class_matrices(T, G)
         for chi in CT.rows:
             omega = [
-                chi.values[k] * T.classes[k].size / Fraction(chi.degree)
+                cyclotomic_sum([(Fraction(T.classes[k].size, chi.degree), [chi.values[k]])])
                 for k in range(T.num_classes)
             ]
             for mat in mats:
                 for i, row in enumerate(mat.entries):
-                    lhs = Cyclotomic.from_rational(0)
-                    for k, a in enumerate(row):
-                        lhs = lhs + omega[k] * a
-                    assert lhs == omega[mat.j] * omega[i]
+                    lhs = cyclotomic_sum((a, [omega[k]]) for k, a in enumerate(row))
+                    assert lhs == cyclotomic_sum([(1, [omega[mat.j], omega[i]])])
 
 
 def test_orthogonality_and_degree_sums():
     from rigidity.conjugacy import conjugacy_classes
     from rigidity.groups import cyc_group, dih_group
 
-    groups = [charactered(name)[::2] for name in ALL_NAMES]
+    # SL(2,3) and SL(2,7) have irrational values (conductors 3 and 56)
+    groups = [charactered(name)[::2] for name in ALL_NAMES + (SL23, SL27)]
     for n in range(1, 13):
         G = cyc_group(n)
         groups.append((G, character_table(G, conjugacy_classes(G))))
@@ -95,7 +92,7 @@ def test_orthogonality_and_degree_sums():
         report = verify_orthogonality(CT)
         assert report.passed, report.failure
         assert sum(chi.degree ** 2 for chi in CT.rows) == G.order
-        assert all(v.is_integral() for chi in CT.rows for v in chi.values)
+        assert CT.integer_columns[1] == 1
 
 
 def test_first_row_is_trivial_character():
@@ -107,21 +104,18 @@ def test_first_row_is_trivial_character():
 
 
 def test_tampered_table_fails_orthogonality():
-    _, _, CT = charactered("Sym(3)")
-    bad_rows = list(CT.rows)
-    chi = bad_rows[-1]
-    values = list(chi.values)
-    values[-1] = values[-1] + 1
-    bad_rows[-1] = Character(degree=chi.degree, values=tuple(values))
-    bad = CharacterTable(
-        group_order=CT.group_order,
-        class_sizes=CT.class_sizes,
-        class_orders=CT.class_orders,
-        rows=tuple(bad_rows),
-    )
-    report = verify_orthogonality(bad)
-    assert not report.passed
-    assert report.failure
+    cases = [("Sym(3)", 1, 1)]
+    cases += [
+        (name, delta, denominator)
+        for name in ("Alt(5)", SL27)
+        for delta, denominator in ((zeta(5), 1), (Fraction(1, 2), 2))
+    ]
+    for name, delta, denominator in cases:
+        bad = tampered(charactered(name)[2], delta)
+        assert bad.integer_columns[1] == denominator
+        report = verify_orthogonality(bad)
+        assert not report.passed, (name, delta)
+        assert report.failure
 
 
 def test_dixon_prime_selection():

@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import prod
 
 import pytest
 
-from conftest import Q8, charactered
+from conftest import Q8, SL23, SL27, charactered, cyclotomic_sum, tampered
 from rigidity import counting
-from rigidity.chartab import Character
 from rigidity.conjugacy import conjugacy_classes
 from rigidity.counting import (
     Orbit,
@@ -28,30 +26,25 @@ from rigidity.counting import (
     rigidity_verdict,
     verdict_from_routes,
 )
-from rigidity.cyclotomic import Cyclotomic, zeta
+from rigidity.cyclotomic import zeta
 from rigidity.errors import CapExceededError, NonIntegerResultError, VerificationError
 from rigidity.groups import orbit_partition
 from rigidity.groupspec import build_group
 
-SL23 = "Mat(3, 2; [1 1 0 1], [0 2 1 0])"
-SL27 = "Mat(7, 2; [1 1 0 1], [0 6 1 0])"
 # irrational values: (1±√5)/2 in Alt(5), ζ₃ in SL(2,3), √−7 and √2 in SL(2,7)
 REFERENCE_NAMES = ("Alt(5)", "Sym(5)", SL23, Q8, SL27)
 
 
 def _reference_value(CT, ids, power, numerator):
-    """(numerator/|G|)·Σ_χ ∏χ(g_i)/χ(1)^power summed with Cyclotomic objects.
+    """(numerator/|G|)·Σ_χ ∏χ(g_i)/χ(1)^power by `cyclotomic_sum`.
 
-    The character route's arithmetic before integer columns, kept as the
-    reference: None when the value is irrational.
+    The reference for the character route's integer columns: None when the
+    value is irrational.
     """
-    total = Cyclotomic.from_rational(0)
-    for row in CT.rows:
-        term = Cyclotomic.from_rational(1)
-        for i in ids:
-            term = term * row.values[i]
-        total = total + term / Fraction(row.degree**power)
-    scaled = total * Fraction(numerator, CT.group_order)
+    scaled = cyclotomic_sum(
+        (Fraction(numerator, CT.group_order * row.degree**power), [row.values[i] for i in ids])
+        for row in CT.rows
+    )
     return scaled.as_rational() if scaled.is_rational() else None
 
 
@@ -173,17 +166,10 @@ def test_quadruple_counts_match_scan():
         assert frobenius_count(CT, ids) == len(enumerate_solutions(G, T, ids))
 
 
-def _tampered(CT, delta):
-    """CT with delta added to the last value of its last row."""
-    chi = CT.rows[-1]
-    values = chi.values[:-1] + (chi.values[-1] + delta,)
-    return replace(CT, rows=CT.rows[:-1] + (Character(degree=chi.degree, values=values),))
-
-
 def test_non_integer_sum_is_rejected():
     _, _, CT = charactered("Sym(3)")
     with pytest.raises(NonIntegerResultError):
-        frobenius_count(_tampered(CT, 1), (2, 2, 2))
+        frobenius_count(tampered(CT, 1), (2, 2, 2))
 
 
 def test_character_route_matches_the_cyclotomic_reference():
@@ -208,7 +194,7 @@ def test_tampered_tables_match_the_reference():
     for name in ("Sym(3)", SL23, "Alt(5)"):
         _, T, CT = charactered(name)
         for delta, denominator in ((zeta(5), 1), (Fraction(1, 2), 2)):
-            bad = _tampered(CT, delta)
+            bad = tampered(CT, delta)
             assert bad.integer_columns[1] == denominator
             outcomes = []
             for ids in product(range(T.num_classes), repeat=3):

@@ -8,10 +8,10 @@ from math import lcm
 
 import pytest
 
+from conftest import cyclotomic_sum
 from rigidity.cyclotomic import (
-    ONE,
-    ZERO,
     Cyclotomic,
+    conjugate_mod,
     cyclotomic_polynomial,
     euler_phi,
     integer_coordinates,
@@ -53,37 +53,36 @@ def test_euler_phi_table():
 def test_roots_of_unity_have_right_order():
     for e in range(1, 13):
         z = zeta(e)
-        acc = ONE
         for k in range(1, e):
-            acc = acc * z
-            assert acc != 1
-        assert acc * z == 1
+            assert cyclotomic_sum([(1, [z] * k)]) != 1
+        assert cyclotomic_sum([(1, [z] * e)]) == 1
 
 
 def test_basic_identities():
-    assert zeta(4) * zeta(4) == -1
+    assert cyclotomic_sum([(1, [zeta(4), zeta(4)])]) == -1
     z3 = zeta(3)
-    assert z3 * z3 + z3 + 1 == 0
-    assert zeta(3) * zeta(4) == zeta(12, 7)
+    assert cyclotomic_sum([(1, [z3, z3]), (1, [z3]), (1, [])]) == 0
+    assert cyclotomic_sum([(1, [zeta(3), zeta(4)])]) == zeta(12, 7)
 
 
 def test_full_root_sums_vanish():
     for e in range(2, 11):
-        total = ZERO
-        for k in range(e):
-            total = total + zeta(e, k)
-        assert total.is_zero()
+        roots = [zeta(e, k) for k in range(e)]
+        total = cyclotomic_sum((1, [z]) for z in roots)
+        assert (total.conductor, total.coeffs) == (1, {})
         assert total == 0
+        _, vectors = integer_coordinates(roots, e)
+        assert all(sum(column) == 0 for column in zip(*vectors))
 
 
 def test_conductor_is_minimized():
     assert zeta(6).conductor == 3
-    assert zeta(6) == zeta(3) + 1
+    assert zeta(6) == cyclotomic_sum([(1, [zeta(3)]), (1, [])])
     assert zeta(4, 2) == -1
     assert zeta(4, 2).conductor == 1
     assert zeta(8, 2).conductor == 4
     assert zeta(12, 4).conductor == 3
-    assert (zeta(5) + zeta(5, 4)).conductor == 5
+    assert Cyclotomic.from_exponent_map(5, {1: 1, 4: 1}).conductor == 5
 
 
 def test_rational_detection():
@@ -95,26 +94,49 @@ def test_rational_detection():
 
 
 def test_integrality():
-    assert zeta(8).is_integral()
-    assert (zeta(8) + zeta(8, 3)).is_integral()
-    assert not (zeta(8) / 2).is_integral()
-    assert Cyclotomic.from_rational(7).is_integral()
-    assert not Cyclotomic.from_rational(Fraction(1, 3)).is_integral()
+    # the power basis is integral, so a value is an algebraic integer
+    # exactly when its coordinates need no common denominator
+    def denominator(value):
+        return integer_coordinates([value], value.conductor)[0]
+
+    assert denominator(zeta(8)) == 1
+    assert denominator(Cyclotomic.from_exponent_map(8, {1: 1, 3: 1})) == 1
+    assert denominator(Cyclotomic.from_exponent_map(8, {1: Fraction(1, 2)})) == 2
+    assert denominator(Cyclotomic.from_rational(7)) == 1
+    assert denominator(Cyclotomic.from_rational(Fraction(1, 3))) == 3
 
 
 def test_division():
     z = zeta(7)
-    assert (z / 2) * 2 == z
-    assert (z / Fraction(3, 5)) * Fraction(3, 5) == z
-    with pytest.raises(ZeroDivisionError):
-        z / 0
+    for q in (2, Fraction(3, 5), Fraction(-1, 4)):
+        quotient = cyclotomic_sum([(1 / Fraction(q), [z])])
+        assert quotient == Cyclotomic.from_exponent_map(7, {1: 1 / Fraction(q)})
+        assert cyclotomic_sum([(q, [quotient])]) == z
+    # a value type: scaling happens in the weights, never by an operator
+    with pytest.raises(TypeError):
+        z / 2
 
 
 def test_conjugation():
-    assert zeta(5).conjugate() == zeta(5, 4)
-    assert zeta(1).conjugate() == 1
-    v = zeta(7, 2) + zeta(7, 5)
-    assert v.conjugate() == v
+    _, (z, z_bar) = integer_coordinates([zeta(5), zeta(5, 4)], 5)
+    assert conjugate_mod(z, 5) == z_bar
+    assert conjugate_mod((1,), 1) == (1,)
+    _, (v,) = integer_coordinates([Cyclotomic.from_exponent_map(7, {2: 1, 5: 1})], 7)
+    assert conjugate_mod(v, 7) == v
+    # ζ^k ↦ ζ^−k on exponent maps, against the reduction mod Φ_e
+    rng = random.Random(11)
+    for e in (1, 3, 4, 5, 8, 12, 15, 56):
+        for _ in range(10):
+            mapping = {
+                rng.randrange(e): Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                for _ in range(3)
+            }
+            image = {-k % e: c for k, c in mapping.items()}
+            _, (a, a_bar) = integer_coordinates(
+                [Cyclotomic.from_exponent_map(e, m) for m in (mapping, image)], e
+            )
+            assert conjugate_mod(a, e) == a_bar
+            assert conjugate_mod(a_bar, e) == a
 
 
 def test_equality_and_hash_with_rationals():
@@ -128,7 +150,7 @@ def test_equality_and_hash_with_rationals():
 
 
 def test_sort_key_puts_one_first():
-    values = [zeta(3), Cyclotomic.from_rational(-2), ONE, zeta(4)]
+    values = [zeta(3), Cyclotomic.from_rational(-2), Cyclotomic.from_rational(1), zeta(4)]
     ranked = sorted(values, key=lambda c: c.sort_key())
     assert ranked[0] == 1
 
@@ -143,8 +165,15 @@ def test_from_exponent_map():
 
 
 def test_subtraction_orientation():
-    assert 1 - zeta(4) == -(zeta(4) - 1)
-    assert (3 - Cyclotomic.from_rational(1)) == 2
+    one_minus_i = cyclotomic_sum([(1, []), (-1, [zeta(4)])])
+    i_minus_one = cyclotomic_sum([(1, [zeta(4)]), (-1, [])])
+    assert one_minus_i == cyclotomic_sum([(-1, [i_minus_one])])
+    assert one_minus_i == Cyclotomic.from_exponent_map(4, {0: 1, 1: -1})
+    assert cyclotomic_sum([(3, []), (-1, [Cyclotomic.from_rational(1)])]) == 2
+    with pytest.raises(TypeError):
+        1 - zeta(4)
+    for name in ("__add__", "__sub__", "__rsub__", "__neg__", "__mul__", "conjugate"):
+        assert not hasattr(Cyclotomic, name), name
 
 
 def test_integer_coordinates_and_multiply_mod_agree_with_cyclotomic_products():
@@ -158,13 +187,16 @@ def test_integer_coordinates_and_multiply_mod_agree_with_cyclotomic_products():
                 )
                 for _ in range(2)
             )
-            D, (va, vb, vab) = integer_coordinates([a, b, a * b], e)
+            ab = cyclotomic_sum([(1, [a, b])])
+            D, (va, vb, vab) = integer_coordinates([a, b, ab], e)
             assert all(len(v) == euler_phi(e) for v in (va, vb, vab))
-            lifted = [c for value in (a, b, a * b) for c in value._lift(e)]
+            lifted = [c for value in (a, b, ab) for c in value._lift(e)]
             assert D == lcm(*(c.denominator for c in lifted))
             assert (va, vb, vab) == tuple(
-                tuple(D * c for c in value._lift(e)) for value in (a, b, a * b)
+                tuple(D * c for c in value._lift(e)) for value in (a, b, ab)
             )
             assert multiply_mod(va, vb, e) == tuple(D * c for c in vab)
-    D, ((x,), (y,)) = integer_coordinates([Cyclotomic.from_rational(Fraction(3, 4)), ONE], 1)
+    D, ((x,), (y,)) = integer_coordinates(
+        [Cyclotomic.from_rational(Fraction(3, 4)), Cyclotomic.from_rational(1)], 1
+    )
     assert (D, x, y) == (4, 3, 4)

@@ -90,13 +90,23 @@ def test_conjugate_matches_element_arithmetic():
 
 
 def test_negative_indices_raise_and_memoize_nothing():
-    G = build_group("Sym(3)")
-    calls = ((G.conjugate, -1, 1), (G.conjugate, 0, -1), (G.mult, -1, 0))
-    for method, i, j in calls:
-        with pytest.raises(IndexError, match=r"element index -1 outside 0\.\.5"):
-            method(i, j)
-    assert G._conjugates == {}
-    assert G._rows == [None] * G.order
+    # indices past the end too, on a cold memo and again with rows built
+    bad = ((-1, 1), (0, -1), (99, 1), (0, 99))
+    for warm in (False, True):
+        G = build_group("Sym(3)")
+        if warm:
+            G.conjugate(0, 1)
+            G.mult(0, 1)
+        conjugates, rows = dict(G._conjugates), list(G._rows)
+        for method in (G.conjugate, G.mult):
+            for i, j in bad:
+                index = i if not 0 <= i < G.order else j
+                with pytest.raises(IndexError, match=rf"element index {index} outside 0\.\.5"):
+                    method(i, j)
+        assert G._conjugates == conjugates
+        assert G._rows == rows
+    assert conjugates.keys() == {1}
+    assert rows[0] is not None and rows[1:] == [None] * (G.order - 1)
 
 
 @pytest.mark.parametrize(
