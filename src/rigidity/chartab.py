@@ -6,17 +6,23 @@ irreducible character χ the scaled values ω(k) = |C_k|·χ(g_k)/χ(1) form a
 simultaneous right eigenvector of all structure-constant matrices:
 (A_j · ω)_i = ω(j)·ω(i).  The table is recovered in five exact steps:
 
-1. count the integer matrix A_j when the split first reaches class j, once per
-   table: a retry at the next prime reduces the same A_j mod its own p;
+1. count only the rows of the integer matrix A_j that the split reads, each
+   once per table: with y_i the representative of C_i, row i is
+   a_{jik} = |C_i|·#{x ∈ C_j : x·y_i ∈ C_k}/|C_k|, from |C_j| products and
+   no inverses.  A retry at the next prime reduces the same rows mod its own p;
 2. pick a prime p ≡ 1 (mod exponent) with p > 2√|G|.  Such p cannot divide
    |G|: a prime divisor q of |G| divides the exponent (Cauchy), forcing
    p ≡ 1 (mod q), so the class algebra over F_p is semisimple and F_p holds
    every needed root of unity;
 3. split F_p^r into common eigenspaces by the matrices A_j in increasing j,
-   until every space is a line.  On each space the eigenvalues are the roots
-   of the characteristic polynomial of A_j restricted to it, taken in
-   ascending order with one kernel computed per root; each line, scaled to
-   value 1 at the identity class, is one ω-vector mod p;
+   until every space is a line.  Each space is kept as a reduced echelon
+   basis with its pivot columns; A_j maps it into itself, so the coordinates
+   of A_j·v are the entries of A_j·v at the pivots, and the split reads only
+   the rows of A_j at the pivots of the spaces that are not yet lines.  On
+   each space the eigenvalues are the roots of the characteristic polynomial
+   of A_j restricted to it, taken in ascending order with one kernel
+   computed per root; each line, scaled to value 1 at the identity class, is
+   one ω-vector mod p;
 4. recover each degree from d² = |G| / Σ_k ω(k)·ω(k')/|C_k| (k' the inverse
    class), unique as an integer ≤ √|G| < p/2;
 5. lift each value by the inverse discrete Fourier transform over power-map
@@ -29,6 +35,11 @@ is reproducible; a different λ would relabel the table by a global Galois
 automorphism, which every consumer here is invariant under.  Any internal
 inconsistency raises SplitFailure and the next admissible prime is tried, at
 most three retries.
+
+Pivot rows cannot see an image that leaves its space, so a wrong row could
+yield a consistent but wrong table.  Before it returns, `character_table`
+therefore checks both orthogonality relations exactly on the lifted table
+and raises VerificationError on the first violation.
 """
 
 from __future__ import annotations
@@ -41,13 +52,13 @@ from .conjugacy import ClassTable, power_classes
 from .cyclotomic import (
     Cyclotomic,
     _prime_factors,
+    _reduce_mod,
     conjugate_mod,
     euler_phi,
     integer_coordinates,
-    multiply_mod,
 )
 from .elements import row_reduce
-from .errors import SplitFailureError
+from .errors import SplitFailureError, VerificationError
 from .groups import FiniteGroup, _is_prime
 
 
@@ -60,7 +71,9 @@ class ClassMatrix:
 
 
 def class_matrices(T: ClassTable, G: FiniteGroup, ids=None) -> list[ClassMatrix]:
-    """Count the structure-constant matrices of the classes ids (default all) exactly."""
+    """Count the structure-constant matrices of the classes ids (default all) exactly.
+
+    The whole-matrix reference for `class_matrix_row`; the split reads rows only."""
     r = len(T.classes)
     reps = [G.elements[c.representative] for c in T.classes]
     out = []
@@ -74,6 +87,30 @@ def class_matrices(T: ClassTable, G: FiniteGroup, ids=None) -> list[ClassMatrix]
                 entries[T.class_of[G.index[xi * z]]][k] += 1
         out.append(ClassMatrix(j=c.id, entries=tuple(tuple(row) for row in entries)))
     return out
+
+
+def class_matrix_row(T: ClassTable, G: FiniteGroup, j: int, i: int) -> tuple[int, ...]:
+    """Row i of A_j from |C_j| products: a_{jik} = |C_i|·#{x ∈ C_j : x·y_i ∈ C_k}/|C_k|.
+
+    y_i is the representative of C_i.  The pairs (x, y) ∈ C_j × C_i with
+    xy ∈ C_k number a_{jik}·|C_k|, and conjugating each pair so that y = y_i
+    shows that they also number |C_i| times the count above.  Each division
+    must be exact; a remainder raises VerificationError."""
+    elements, index, class_of = G.elements, G.index, T.class_of
+    y = elements[T.classes[i].representative]
+    counts = [0] * len(T.classes)
+    for x in T.classes[j].members:
+        counts[class_of[index[elements[x] * y]]] += 1
+    size = T.classes[i].size
+    row = []
+    for k, n in enumerate(counts):
+        a, remainder = divmod(size * n, T.classes[k].size)
+        if remainder:
+            raise VerificationError(
+                f"class matrix {j}, row {i}: entry {k} is not an integer"
+            )
+        row.append(a)
+    return tuple(row)
 
 
 def _admissible_primes(exponent: int, group_order: int):
@@ -135,25 +172,6 @@ class CharacterTable:
         return e, D, columns
 
 
-def _apply(matrix, vec, p):
-    return tuple(sum(a * x for a, x in zip(row, vec)) % p for row in matrix)
-
-
-def _coordinates(basis, images, p):
-    """Coordinates of each image in terms of basis, all solved at once."""
-    m = len(basis)
-    aug = [
-        [basis[b][i] for b in range(m)] + [img[i] for img in images]
-        for i in range(len(basis[0]))
-    ]
-    reduced, pivots = row_reduce(aug, m, p)
-    if len(pivots) < m:
-        raise SplitFailureError("degenerate subspace basis")
-    if any(any(row[m:]) for row in reduced[m:]):
-        raise SplitFailureError("image escapes the invariant subspace")
-    return [[reduced[b][m + idx] for b in range(m)] for idx in range(len(images))]
-
-
 def _kernel_mod(matrix, p):
     """Deterministic kernel basis of a square matrix over F_p."""
     m = len(matrix)
@@ -212,18 +230,31 @@ def _charpoly_mod(matrix, p):
     return polys[m]
 
 
-def _split_space(basis, A, p):
+def _restriction(space, rows, p):
+    """Matrix M of A on an A-invariant space, read from the rows of A at its pivots.
+
+    space is (basis, pivots): a reduced echelon basis, basis[t] being 1 at
+    pivots[t] and 0 at the other pivots.  A·b_t lies in the space, so its
+    coordinates are its entries at the pivots: A·b_t = Σ_s M[s][t]·b_s with
+    M[s][t] = rows[pivots[s]]·b_t mod p.  Rows off the pivots are never read,
+    so an image that leaves the space goes unseen here."""
+    basis, pivots = space
+    return [[sum(a * x for a, x in zip(rows[i], b)) % p for b in basis] for i in pivots]
+
+
+def _split_space(space, rows, p):
     """Split an invariant subspace into eigenspaces of A, eigenvalues ascending.
 
-    The eigenvalues are the roots mod p of the characteristic polynomial of A
-    restricted to the subspace, found by evaluating it at λ = 0, 1, … until
-    the eigenspaces fill the subspace; only a root costs a kernel.  Raises
-    SplitFailure when they do not fill it (A not diagonalizable here)."""
-    m = len(basis)
-    images = [_apply(A, v, p) for v in basis]
-    coords = _coordinates(basis, images, p)
-    # restriction acts on V-coordinates x by x ↦ Mt·x with Mt[i][b] = coords[b][i]
-    charpoly = _charpoly_mod([[coords[b][i] for b in range(m)] for i in range(m)], p)
+    space and rows are as in `_restriction`.  The eigenvalues are the roots
+    mod p of the characteristic polynomial of the restriction, found by
+    evaluating it at λ = 0, 1, … until the eigenspaces fill the subspace; only
+    a root costs a kernel.  Each eigenspace is returned in the same form as
+    space.  Raises SplitFailure when they do not fill it (A not
+    diagonalizable here)."""
+    basis = space[0]
+    m, r = len(basis), len(basis[0])
+    M = _restriction(space, rows, p)
+    charpoly = _charpoly_mod(M, p)
     pieces = []
     found = 0
     for lam in range(p):
@@ -235,17 +266,17 @@ def _split_space(basis, A, p):
         if value:
             continue
         shifted = [
-            [(coords[b][i] - (lam if i == b else 0)) % p for b in range(m)]
-            for i in range(m)
+            [(x - lam) % p if s == t else x for t, x in enumerate(row)]
+            for s, row in enumerate(M)
         ]
         ker = _kernel_mod(shifted, p)
         if not ker:
             continue
         ambient = [
-            tuple(sum(x[b] * basis[b][i] for b in range(m)) % p for i in range(len(basis[0])))
-            for x in ker
+            [sum(x[t] * basis[t][k] for t in range(m)) % p for k in range(r)] for x in ker
         ]
-        pieces.append(ambient)
+        reduced, piece_pivots = row_reduce(ambient, r, p)
+        pieces.append((reduced, piece_pivots))
         found += len(ker)
     if found != m:
         raise SplitFailureError("matrix not diagonalizable over this prime")
@@ -263,30 +294,29 @@ def _least_primitive_root(p: int, e: int) -> int:
     raise SplitFailureError(f"no primitive {e}-th root mod {p}")
 
 
-def _attempt(G: FiniteGroup, T: ClassTable, class_matrix, p: int, e: int) -> CharacterTable:
-    """One split and lift at p; class_matrix(j) gives the integer A_j."""
+def _attempt(G: FiniteGroup, T: ClassTable, class_row, p: int, e: int) -> CharacterTable:
+    """One split and lift at p; class_row(j, i) gives row i of the integer A_j."""
     r = len(T.classes)
-    spaces = [[tuple(1 if i == k else 0 for i in range(r)) for k in range(r)]]
+    spaces = [([[1 if i == k else 0 for i in range(r)] for k in range(r)], list(range(r)))]
     for j in range(1, r):
-        if all(len(b) == 1 for b in spaces):
+        needed = [i for basis, pivots in spaces if len(basis) > 1 for i in pivots]
+        if not needed:
             break
-        A = tuple(tuple(x % p for x in row) for row in class_matrix(j).entries)
-        new_spaces = []
-        for basis in spaces:
-            if len(basis) == 1:
-                new_spaces.append(basis)
-            else:
-                new_spaces.extend(_split_space(basis, A, p))
-        spaces = new_spaces
-    if any(len(b) != 1 for b in spaces):
-        raise SplitFailureError(f"{sum(1 for b in spaces if len(b) > 1)} eigenspaces left unsplit")
+        rows = {i: [x % p for x in class_row(j, i)] for i in needed}
+        spaces = [
+            piece
+            for space in spaces
+            for piece in (_split_space(space, rows, p) if len(space[0]) > 1 else (space,))
+        ]
+    if any(len(basis) != 1 for basis, _ in spaces):
+        raise SplitFailureError(
+            f"{sum(1 for basis, _ in spaces if len(basis) > 1)} eigenspaces left unsplit"
+        )
 
-    vectors = []
-    for (v,) in spaces:
-        if v[0] == 0:
-            raise SplitFailureError("eigenvector vanishes at the identity class")
-        scale = pow(v[0], -1, p)
-        vectors.append(tuple(x * scale % p for x in v))
+    # a reduced line with a nonzero identity entry is already scaled to 1 there
+    if any(pivots != [0] for _, pivots in spaces):
+        raise SplitFailureError("eigenvector vanishes at the identity class")
+    vectors = [basis[0] for basis, _ in spaces]
 
     sizes = [c.size for c in T.classes]
     inv_sizes = [pow(s, -1, p) for s in sizes]
@@ -309,6 +339,7 @@ def _attempt(G: FiniteGroup, T: ClassTable, class_matrix, p: int, e: int) -> Cha
 
     lam_root = _least_primitive_root(p, e)
     powers = power_classes(T)
+    lifted: dict[tuple, Cyclotomic] = {}
     rows = []
     for w, degree in zip(vectors, degrees):
         values = []
@@ -334,7 +365,10 @@ def _attempt(G: FiniteGroup, T: ClassTable, class_matrix, p: int, e: int) -> Cha
                 # lifted value must reduce back to the eigenvector data
                 if sum(m * eta_pow[(t * s) % o] for t, m in mults.items()) % p != theta[s]:
                     raise SplitFailureError("lifted value does not reduce to mod-p data")
-            values.append(Cyclotomic.from_exponent_map(o, mults))
+            key = (o, tuple(mults.items()))
+            if key not in lifted:
+                lifted[key] = Cyclotomic.from_exponent_map(o, mults)
+            values.append(lifted[key])
         rows.append(Character(degree=degree, values=tuple(values)))
 
     rows.sort(key=Character.sort_key)
@@ -349,24 +383,30 @@ def _attempt(G: FiniteGroup, T: ClassTable, class_matrix, p: int, e: int) -> Cha
 def character_table(G: FiniteGroup, T: ClassTable) -> CharacterTable:
     """Exact character table; retries with the next prime on a failed split.
 
-    Each class matrix is counted the first time a split needs it and kept
-    for the retries of this call."""
+    Each class-matrix row is counted the first time a split reads it and
+    kept for the retries of this call.  The table is returned only if both
+    orthogonality relations hold exactly; otherwise VerificationError."""
     exponent = lcm(*T.element_order_of_class)
-    built: dict[int, ClassMatrix] = {}
+    built: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def class_matrix(j: int) -> ClassMatrix:
-        if j not in built:
-            (built[j],) = class_matrices(T, G, (j,))
-        return built[j]
+    def class_row(j: int, i: int) -> tuple[int, ...]:
+        if (j, i) not in built:
+            built[j, i] = class_matrix_row(T, G, j, i)
+        return built[j, i]
 
     primes = _admissible_primes(exponent, G.order)
     failure: SplitFailureError | None = None
     for _ in range(4):
         p = next(primes)
         try:
-            return _attempt(G, T, class_matrix, p, exponent)
+            table = _attempt(G, T, class_row, p, exponent)
         except SplitFailureError as exc:
             failure = exc
+            continue
+        report = verify_orthogonality(table)
+        if not report.passed:
+            raise VerificationError(report.failure)
+        return table
     raise SplitFailureError("splitting failed for four admissible primes") from failure
 
 
@@ -381,17 +421,31 @@ def verify_orthogonality(ct: CharacterTable) -> OrthogonalityReport:
 
     Sums run on `ct.integer_columns`, which hold D·χ, so each sum is D² times
     its value.  The second relation Σ_χ χ(g_k)·conj χ(g_l) = δ_kl·|G|/|C_k|
-    is checked multiplied through by |C_k|, so both compare with D²·|G|·δ."""
+    is checked multiplied through by |C_k|, so both compare with D²·|G|·δ.
+    Each relation adds up its products unreduced and reduces the sum mod Φ_e
+    once."""
     e, D, columns = ct.integer_columns
     conjugates = [[conjugate_mod(v, e) for v in column] for column in columns]
     target = D * D * ct.group_order
     sizes = ct.class_sizes
+    width = 2 * euler_phi(e) - 1
 
     def holds(weighted_pairs, diagonal: bool) -> bool:
-        total = [0] * euler_phi(e)
-        for weight, x, y in weighted_pairs:
-            for i, c in enumerate(multiply_mod(x, y, e)):
-                total[i] += weight * c
+        # reduction mod Φ_e is a ring map: add up the plain polynomial
+        # products and reduce the sum once
+        if width == 1:
+            # e ≤ 2 (every Sym(n) table): the values are integers
+            total = [sum(w * x[0] * y[0] for w, x, y in weighted_pairs)]
+        else:
+            total = [0] * width
+            for weight, x, y in weighted_pairs:
+                for i, a in enumerate(x):
+                    if a:
+                        a *= weight
+                        for k, b in enumerate(y, i):
+                            if b:
+                                total[k] += a * b
+            total = _reduce_mod(total, e)
         expected = target if diagonal else 0
         return total[0] == expected and not any(total[1:])
 

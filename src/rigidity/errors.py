@@ -36,7 +36,9 @@ class SplitFailureError(RuntimeError):
 
 
 class VerificationError(RuntimeError):
-    """The two counting routes disagree, or an orbit size fails to divide |G|."""
+    """An exact check failed: the two counting routes disagree, an orbit size
+    fails to divide |G|, a class-matrix entry is not an integer, or a
+    character table fails an orthogonality relation."""
 
 
 class NonIntegerResultError(ArithmeticError):

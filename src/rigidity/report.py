@@ -122,6 +122,8 @@ def render_text(obj, indent: int = 0) -> str:
         elif isinstance(value, (list, tuple)) and all(_is_scalar(v) for v in value):
             inner = ", ".join(_scalar_text(v) for v in value)
             lines.append(f"{pad}{label} [{inner}]")
+        elif isinstance(value, dict) and not value:
+            lines.append(f"{pad}{label} {{}}")
         else:
             lines.append(f"{pad}{label}")
             lines.append(render_text(value, indent + 1))

@@ -3,22 +3,24 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import Q8, SL23, SL27, charactered, classed, cyclotomic_sum, tampered
-from rigidity import chartab
+from rigidity import chartab, cli
 from rigidity.chartab import (
     _charpoly_mod,
     character_table,
     class_matrices,
+    class_matrix_row,
     dixon_prime,
     verify_orthogonality,
 )
 from rigidity.cyclotomic import zeta
 from rigidity.elements import PrimeFieldMatrix
-from rigidity.errors import SplitFailureError
+from rigidity.errors import SplitFailureError, VerificationError
 from rigidity.murnaghan import align_to_class_table, murnaghan_nakayama
 
 ALL_NAMES = (
@@ -209,20 +211,19 @@ def test_characteristic_polynomial_matches_determinants(p):
 
 
 def _count_builds(monkeypatch):
-    """Record the class id of every matrix built and every kernel computed."""
+    """Record the (j, i) of every class-matrix row built and every kernel computed."""
     built, kernels = [], []
-    count, kernel = chartab.class_matrices, chartab._kernel_mod
+    count, kernel = chartab.class_matrix_row, chartab._kernel_mod
 
-    def counted(T, G, ids=None):
-        mats = count(T, G, ids)
-        built.extend(M.j for M in mats)
-        return mats
+    def counted(T, G, j, i):
+        built.append((j, i))
+        return count(T, G, j, i)
 
     def recorded(matrix, p):
         kernels.append(kernel(matrix, p))
         return kernels[-1]
 
-    monkeypatch.setattr(chartab, "class_matrices", counted)
+    monkeypatch.setattr(chartab, "class_matrix_row", counted)
     monkeypatch.setattr(chartab, "_kernel_mod", recorded)
     return built, kernels
 
@@ -235,8 +236,14 @@ def test_split_builds_only_the_class_matrices_it_reaches(monkeypatch, spec, need
     G, T = classed(spec)
     built, kernels = _count_builds(monkeypatch)
     character_table(G, T)
-    # the split reaches classes 1, 2, … in order, each matrix counted once
-    assert built == list(range(1, needed + 1))
+    r = T.num_classes
+    # the split reaches classes 1, 2, … in order, each row counted at most once
+    assert list(dict.fromkeys(j for j, _ in built)) == list(range(1, needed + 1))
+    assert len(built) == len(set(built))
+    # A_1 splits the whole space, so all its rows are read; later matrices
+    # are read only at the pivots of the spaces that are not yet lines
+    assert [i for j, i in built if j == 1] == list(range(r))
+    assert needed == 1 or len(built) < needed * r
     # one kernel per eigenspace: no row reduction at a λ that is no root
     assert all(kernels)
 
@@ -246,12 +253,13 @@ def test_retry_reuses_the_class_matrices(monkeypatch):
     G, T = classed(spec)
     _, _, expected = charactered(spec)
     built, _ = _count_builds(monkeypatch)
-    attempt, primes = chartab._attempt, []
+    attempt, primes, first = chartab._attempt, [], []
 
-    def fail_once(G, T, class_matrix, p, e):
+    def fail_once(G, T, class_row, p, e):
         primes.append(p)
-        table = attempt(G, T, class_matrix, p, e)
+        table = attempt(G, T, class_row, p, e)
         if len(primes) == 1:
+            first.extend(built)
             raise SplitFailureError("forced retry")
         return table
 
@@ -259,3 +267,66 @@ def test_retry_reuses_the_class_matrices(monkeypatch):
     assert character_table(G, T) == expected
     assert primes[0] < primes[1] and len(primes) == 2
     assert built and len(built) == len(set(built))
+    # the retry reduces the first attempt's rows mod its own prime
+    assert built == first
+
+
+@pytest.mark.parametrize("spec", ("Sym(6)", "Alt(7)", SL27, "SO3(7)", Q8))
+def test_class_matrix_rows_match_class_matrices(spec):
+    G, T = classed(spec)
+    for M in class_matrices(T, G):
+        for i, row in enumerate(M.entries):
+            assert class_matrix_row(T, G, M.j, i) == row
+
+
+@pytest.mark.parametrize(
+    "spec, j, i, k, cause",
+    [
+        ("Alt(7)", 2, 0, 0, "eigenvector vanishes at the identity class"),
+        ("Alt(7)", 2, 0, 5, "no integer degree matches"),
+        ("Sym(6)", 2, 0, 7, "degree squares do not sum to the group order"),
+        (SL27, 1, 1, 1, "matrix not diagonalizable over this prime"),
+    ],
+)
+def test_tampered_row_ends_in_a_typed_error(monkeypatch, capsys, spec, j, i, k, cause):
+    count = chartab.class_matrix_row
+
+    def tampered_row(T, G, jj, ii):
+        row = count(T, G, jj, ii)
+        if (jj, ii) != (j, i):
+            return row
+        return row[:k] + (row[k] + 1,) + row[k + 1 :]
+
+    monkeypatch.setattr(chartab, "class_matrix_row", tampered_row)
+    G, T = classed(spec)
+    with pytest.raises((SplitFailureError, VerificationError)) as caught:
+        character_table(G, T)
+    assert str(caught.value.__cause__ or caught.value) == cause
+    assert cli.main(["chartab", spec]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_class_matrix_row_needs_exact_division():
+    # with |C_2| of Sym(3) claimed as 4, entry 2 of row 1 of A_1 is 3·2/4
+    G, T = classed("Sym(3)")
+    assert [c.size for c in T.classes] == [1, 3, 2]
+    forged = replace(T, classes=T.classes[:2] + (replace(T.classes[2], size=4),))
+    with pytest.raises(VerificationError, match="class matrix 1, row 1: entry 2"):
+        class_matrix_row(forged, G, 1, 1)
+
+
+def test_tampered_table_fails_inside_character_table(monkeypatch, capsys):
+    attempt = chartab._attempt
+
+    def tampered_attempt(G, T, class_row, p, e):
+        return tampered(attempt(G, T, class_row, p, e), zeta(5))
+
+    monkeypatch.setattr(chartab, "_attempt", tampered_attempt)
+    G, T = classed("Alt(5)")
+    failure = verify_orthogonality(tampered(charactered("Alt(5)")[2], zeta(5))).failure
+    assert failure
+    with pytest.raises(VerificationError) as caught:
+        character_table(G, T)
+    assert str(caught.value) == failure
+    assert cli.main(["chartab", "Alt(5)"]) == 1
+    assert capsys.readouterr().err == f"error: {failure}\n"

@@ -236,6 +236,32 @@ def test_sym8_character_table_output_is_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("chartab", "Alt(8)"),
+            "ceb61bc84113afca59e564f0e3285b13523b60b93d60d7361ef514ebeaa543f5",
+        ),
+        (
+            ("rigid", "Alt(8)", "2", "4", "5"),
+            "3378110967711e9347bfb6f48c9b30bed7df34ede384132dd3e2023b29fc71c3",
+        ),
+        (
+            # the split reads 16 of its 17 non-identity class matrices here
+            ("chartab", "Alt(9)"),
+            "b41c50c9c2d9523b8980a47629a477284a114c4d464c4a067129ddd24647f406",
+        ),
+    ],
+    ids=["chartab-Alt(8)", "rigid-Alt(8)", "chartab-Alt(9)"],
+)
+def test_alternating_table_outputs_are_pinned(capsys, argv, digest):
+    # recorded while the split still counted whole class matrices
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_rigid_order_mode_needs_three(capsys):
     assert run(capsys, "rigid", "Sym(5)", "2", "4")[0] == 2
 

@@ -7,12 +7,11 @@ from itertools import permutations, product
 
 import pytest
 
-from rigidity.chartab import _coordinates, _kernel_mod
+from rigidity.chartab import _kernel_mod, _restriction
 from rigidity.elements import Permutation, PrimeFieldMatrix, row_reduce
 from rigidity.errors import (
     IncompatibleGeneratorsError,
     SingularMatrixError,
-    SplitFailureError,
 )
 
 
@@ -251,20 +250,25 @@ def test_row_reduce_leaves_its_input_and_extra_columns_alone():
 
 
 def test_coordinates_recover_combinations():
+    # a Krylov space span{v, Av, A²v, …} is A-invariant; the restriction read
+    # from the rows of A at its pivots alone recombines to every image A·b
     rng = random.Random(0)
+    shapes = set()
     for p, rows in square_matrices_mod_p():
         n = len(rows)
-        if len(row_reduce(rows, n, p)[1]) < n:
+        krylov = [tuple(rng.randrange(p) for _ in range(n))]
+        for _ in range(n - 1):
+            krylov.append(tuple(sum(a * x for a, x in zip(row, krylov[-1])) % p for row in rows))
+        reduced, pivots = row_reduce(krylov, n, p)
+        if not pivots:
             continue
-        basis = rows[:-1]
-        coeffs = [[rng.randrange(p) for _ in basis] for _ in range(3)]
-        images = [
-            tuple(sum(c * v[i] for c, v in zip(cs, basis)) % p for i in range(n))
-            for cs in coeffs
-        ]
-        assert _coordinates(basis, images, p) == coeffs
-        with pytest.raises(SplitFailureError, match="image escapes the invariant subspace"):
-            _coordinates(basis, [rows[-1]], p)
-        doubled = [tuple(2 * x % p for x in rows[0]), rows[0]]
-        with pytest.raises(SplitFailureError, match="degenerate subspace basis"):
-            _coordinates(doubled, images, p)
+        basis = reduced[: len(pivots)]
+        M = _restriction((basis, pivots), {i: rows[i] for i in pivots}, p)
+        for t, b in enumerate(basis):
+            image = [sum(a * x for a, x in zip(row, b)) % p for row in rows]
+            combination = [
+                sum(M[s][t] * v[k] for s, v in enumerate(basis)) % p for k in range(n)
+            ]
+            assert image == combination
+        shapes.add((n, len(pivots)))
+    assert {(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)} <= shapes

@@ -107,8 +107,7 @@ def test_render_text_shapes():
         "flags: [1, 2, 3]",
         "nested:",
         "  inner: value",
-        "  empty:",
-        "",
+        "  empty: {}",
         "records:",
         "  -",
         "    x: 1",
