@@ -100,10 +100,14 @@ class RigidityVerdict:
         return len(self.orbits)
 
 
-def _check_ids(class_ids) -> tuple[int, ...]:
+def _check_ids(class_ids, r: int) -> tuple[int, ...]:
+    """The class ids as a tuple of at least 2, each in 0..r-1."""
     ids = tuple(class_ids)
     if len(ids) < 2:
         raise ValueError(f"need at least 2 classes, got {len(ids)}")
+    for i in ids:
+        if not 0 <= i < r:
+            raise IndexError(f"class id {i} outside 0..{r - 1}")
     return ids
 
 
@@ -139,11 +143,7 @@ def _character_sum(CT: CharacterTable, ids, power: int) -> tuple[tuple[int, ...]
 
 def frobenius_count(CT: CharacterTable, class_ids) -> int:
     """Number of tuples (x₁,…,x_s) ∈ C₁×⋯×C_s with product 1, by characters."""
-    ids = _check_ids(class_ids)
-    r = CT.num_classes
-    for i in ids:
-        if not 0 <= i < r:
-            raise IndexError(f"class id {i} outside 0..{r - 1}")
+    ids = _check_ids(class_ids, CT.num_classes)
     sizes_product = 1
     for i in ids:
         sizes_product *= CT.class_sizes[i]
@@ -162,14 +162,13 @@ def frobenius_count(CT: CharacterTable, class_ids) -> int:
 def class_algebra_constant(CT: CharacterTable, x: int, y: int, z: int) -> int:
     """a_{xyz} = #{(a, b) ∈ C_x × C_y : a·b·z₀ = 1} for the representative z₀.
 
-    Computed by its own character sum (|C_x||C_y| / |G|)·Σ_χ χ(x)χ(y)χ(z)/χ(1)
-    rather than by rescaling frobenius_count, so the standing identity
-    frobenius_count(x, y, z) = |C_z| · a_{xyz} is a real cross-check.
+    Computed as (|C_x||C_y| / |G|)·Σ_χ χ(x)χ(y)χ(z)/χ(1) from the same
+    _character_sum(CT, (x, y, z), 1) that frobenius_count uses, so the
+    identity frobenius_count(x, y, z) = |C_z| · a_{xyz} holds by construction.
+    Checking it in count_equivalence catches only a non-integer a_{xyz}
+    (raised here) or CT.class_sizes[z] != T.classes[z].size.
     """
-    r = CT.num_classes
-    for i in (x, y, z):
-        if not 0 <= i < r:
-            raise IndexError(f"class id {i} outside 0..{r - 1}")
+    _check_ids((x, y, z), CT.num_classes)
     total, scale = _character_sum(CT, (x, y, z), 1)
     if any(total[1:]):
         raise NonIntegerResultError(f"irrational constant for ({x}, {y}, {z})")
@@ -194,10 +193,7 @@ def enumerate_solutions(
     solves for that one.  The cap bounds the product of all class sizes but
     the largest, the iterations of a scan over every x₁.
     """
-    ids = _check_ids(class_ids)
-    for i in ids:
-        if not 0 <= i < len(T.classes):
-            raise IndexError(f"class id {i} outside 0..{len(T.classes) - 1}")
+    ids = _check_ids(class_ids, len(T.classes))
     s = len(ids)
     sizes = [T.classes[i].size for i in ids]
     iterations = prod(sizes) // max(sizes)

@@ -31,7 +31,17 @@ from .groups import (
     sym_group,
 )
 
-_CONSTRUCTORS = ("Sym", "Alt", "Cyc", "Dih", "SO3", "Omega3", "Perm", "Mat")
+# constructor name -> builder(spec, cap), in the order error messages list them
+_BUILDERS = {
+    "Sym": lambda spec, cap: sym_group(spec.params[0], cap),
+    "Alt": lambda spec, cap: alt_group(spec.params[0], cap),
+    "Cyc": lambda spec, cap: cyc_group(spec.params[0], cap),
+    "Dih": lambda spec, cap: dih_group(spec.params[0], cap),
+    "SO3": lambda spec, cap: so3_group(spec.params[0], cap),
+    "Omega3": lambda spec, cap: omega3_group(spec.params[0], cap),
+    "Perm": lambda spec, cap: perm_group(spec.params[0], spec.generators, cap),
+    "Mat": lambda spec, cap: mat_group(*spec.params, spec.generators, cap),
+}
 
 
 @dataclass(frozen=True)
@@ -45,23 +55,10 @@ class GroupSpec:
 
     def build(self, cap: int = DEFAULT_CAP) -> FiniteGroup:
         """Enumerate the group this spec describes."""
-        if self.constructor == "Sym":
-            return sym_group(self.params[0], cap)
-        if self.constructor == "Alt":
-            return alt_group(self.params[0], cap)
-        if self.constructor == "Cyc":
-            return cyc_group(self.params[0], cap)
-        if self.constructor == "Dih":
-            return dih_group(self.params[0], cap)
-        if self.constructor == "SO3":
-            return so3_group(self.params[0], cap)
-        if self.constructor == "Omega3":
-            return omega3_group(self.params[0], cap)
-        if self.constructor == "Perm":
-            return perm_group(self.params[0], self.generators, cap)
-        if self.constructor == "Mat":
-            return mat_group(self.params[0], self.params[1], self.generators, cap)
-        raise UnknownConstructorError(f"unknown constructor {self.constructor!r}")
+        builder = _BUILDERS.get(self.constructor)
+        if builder is None:
+            raise UnknownConstructorError(f"unknown constructor {self.constructor!r}")
+        return builder(self, cap)
 
 
 class _Cursor:
@@ -171,9 +168,9 @@ def parse_group_spec(text: str) -> GroupSpec:
     """Parse one mini-language expression into a GroupSpec."""
     cur = _Cursor(text)
     name = cur.word()
-    if name not in _CONSTRUCTORS:
+    if name not in _BUILDERS:
         raise UnknownConstructorError(
-            f"unknown constructor {name!r} (expected one of {', '.join(_CONSTRUCTORS)})"
+            f"unknown constructor {name!r} (expected one of {', '.join(_BUILDERS)})"
         )
     cur.expect("(")
     generators: tuple | None = None

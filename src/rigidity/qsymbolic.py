@@ -53,10 +53,6 @@ class QPolynomial:
         return cls({0: 1})
 
     @classmethod
-    def constant(cls, value) -> "QPolynomial":
-        return cls({0: _as_fraction(value)})
-
-    @classmethod
     def monomial(cls, coefficient, degree: int) -> "QPolynomial":
         return cls({degree: _as_fraction(coefficient)})
 
@@ -73,46 +69,22 @@ class QPolynomial:
             return Fraction(0)
         return self.coeffs[self.degree]
 
-    @staticmethod
-    def _coerce(other) -> "QPolynomial | None":
-        if isinstance(other, QPolynomial):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QPolynomial.constant(other)
-        return None
-
     def _binary(self, other, sign: int) -> "QPolynomial":
+        if not isinstance(other, QPolynomial):
+            return NotImplemented
         merged = dict(self.coeffs)
         for degree, value in other.coeffs.items():
             merged[degree] = merged.get(degree, Fraction(0)) + sign * value
         return QPolynomial(merged)
 
     def __add__(self, other) -> "QPolynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self._binary(other, 1)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "QPolynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self._binary(other, -1)
 
-    def __rsub__(self, other) -> "QPolynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other._binary(self, -1)
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial({d: -v for d, v in self.coeffs.items()})
-
     def __mul__(self, other) -> "QPolynomial":
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, QPolynomial):
             return NotImplemented
         out: dict[int, Fraction] = {}
         for d1, v1 in self.coeffs.items():
@@ -120,22 +92,9 @@ class QPolynomial:
                 out[d1 + d2] = out.get(d1 + d2, Fraction(0)) + v1 * v2
         return QPolynomial(out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "QPolynomial":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = QPolynomial.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def scale(self, factor) -> "QPolynomial":
         factor = _as_fraction(factor)
         return QPolynomial({d: v * factor for d, v in self.coeffs.items()})
-
-    def __truediv__(self, other: "QPolynomial") -> "QRationalFunction":
-        return QRationalFunction(self, other)
 
     def evaluate(self, q) -> Fraction:
         q = _as_fraction(q)
@@ -152,7 +111,7 @@ class QPolynomial:
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.coeffs.items())))
 
-    def _format(self) -> str:
+    def __str__(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -174,11 +133,8 @@ class QPolynomial:
             text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return text
 
-    def __str__(self) -> str:
-        return self._format()
-
     def __repr__(self) -> str:
-        return f"QPolynomial({self._format()})"
+        return f"QPolynomial({self})"
 
 
 def _poly_divmod(a: QPolynomial, b: QPolynomial) -> tuple[QPolynomial, QPolynomial]:
@@ -230,59 +186,14 @@ class QRationalFunction:
     def zero(cls) -> "QRationalFunction":
         return cls(QPolynomial.zero(), QPolynomial.one())
 
-    @classmethod
-    def one(cls) -> "QRationalFunction":
-        return cls(QPolynomial.one(), QPolynomial.one())
-
-    @classmethod
-    def constant(cls, value) -> "QRationalFunction":
-        return cls(QPolynomial.constant(value), QPolynomial.one())
-
-    @classmethod
-    def from_polynomial(cls, poly: QPolynomial) -> "QRationalFunction":
-        return cls(poly, QPolynomial.one())
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
-
     def is_one(self) -> bool:
         return self.numerator == self.denominator
-
-    def as_constant(self) -> Fraction | None:
-        """The constant value, or None if the function is non-constant."""
-        if self.denominator == QPolynomial.one() and self.numerator.degree <= 0:
-            return self.numerator.leading_coefficient()
-        return None
 
     def __add__(self, other: "QRationalFunction") -> "QRationalFunction":
         return QRationalFunction(
             self.numerator * other.denominator + other.numerator * self.denominator,
             self.denominator * other.denominator,
         )
-
-    def __sub__(self, other: "QRationalFunction") -> "QRationalFunction":
-        return QRationalFunction(
-            self.numerator * other.denominator - other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    def __mul__(self, other: "QRationalFunction") -> "QRationalFunction":
-        return QRationalFunction(
-            self.numerator * other.numerator, self.denominator * other.denominator
-        )
-
-    def __truediv__(self, other: "QRationalFunction") -> "QRationalFunction":
-        if other.is_zero():
-            raise PolynomialDivisionError("division by the zero rational function")
-        return QRationalFunction(
-            self.numerator * other.denominator, self.denominator * other.numerator
-        )
-
-    def evaluate(self, q) -> Fraction:
-        denom = self.denominator.evaluate(q)
-        if denom == 0:
-            raise ZeroDivisionError(f"denominator vanishes at q = {q}")
-        return self.numerator.evaluate(q) / denom
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QRationalFunction):
@@ -295,13 +206,13 @@ class QRationalFunction:
     def __hash__(self) -> int:
         return hash((self.numerator, self.denominator))
 
-    def _format(self) -> str:
+    def __str__(self) -> str:
         if self.denominator == QPolynomial.one():
-            return self.numerator._format()
-        return f"({self.numerator._format()}) / ({self.denominator._format()})"
+            return str(self.numerator)
+        return f"({self.numerator}) / ({self.denominator})"
 
     def __repr__(self) -> str:
-        return f"QRationalFunction({self._format()})"
+        return f"QRationalFunction({self})"
 
 
 @dataclass(frozen=True)
@@ -358,18 +269,6 @@ LEDGER_TWO = Ledger(
         LedgerEntry("u5", _Q4, _Q4.scale(2)),
     ),
     citation=CITATION_LEDGER,
-)
-
-CITATION_ORDER_POLY = (
-    "|G2(q)| = q^6 (q^6 - 1)(q^2 - 1), standard order formula for the "
-    "Chevalley group of type G2; cited for report context only"
-)
-
-# q^6 (q^6 - 1)(q^2 - 1); cited, not computed here
-AMBIENT_ORDER_POLY = (
-    QPolynomial.monomial(1, 6)
-    * (QPolynomial.monomial(1, 6) - QPolynomial.one())
-    * (QPolynomial.monomial(1, 2) - QPolynomial.one())
 )
 
 

@@ -73,7 +73,7 @@ def jsonable(value):
             ],
         }
     if isinstance(value, (QPolynomial, QRationalFunction)):
-        return value._format()
+        return str(value)
     if isinstance(value, (Permutation, PrimeFieldMatrix)):
         return element_text(value)
     if isinstance(value, dict):
@@ -96,8 +96,6 @@ def _scalar_text(value) -> str:
         return fraction_text(value)
     if isinstance(value, Cyclotomic):
         return cyclo_text(value)
-    if isinstance(value, (QPolynomial, QRationalFunction)):
-        return value._format()
     if isinstance(value, (Permutation, PrimeFieldMatrix)):
         return element_text(value)
     return str(value)

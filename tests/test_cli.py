@@ -429,6 +429,70 @@ def test_audit_ledger_override_errors(capsys, tmp_path):
         assert f"error: ledger file {bad_term}: {message}" in err
 
 
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        (
+            "structured",
+            "df23eaafa7d5b2ff35639da0f5b438eae430b2bba2becf1ab4a8d86e08f8f54e",
+        ),
+        (
+            "text",
+            "3a3d06e8a0ea4586cfb7ad5024772d07cb94dd5e9e9fed5ca0d4c13a3025137e",
+        ),
+    ],
+    ids=["structured", "text"],
+)
+def test_audit_ledger_override_output_is_pinned(capsys, tmp_path, fmt, digest):
+    # recorded while qsymbolic still carried its full rational-function algebra;
+    # triple-1 sums to (2/3*q^4 + 1/3*q^2 - 1/12*q - 5/6) / (q^4 - 1)
+    override = {
+        "triple-1": [
+            {
+                "label": "u3",
+                "a_value": [[4, 1, 1], [1, -1, 2]],
+                "centralizer_order": [[4, 6, 1], [0, -6, 1]],
+            },
+            {
+                "label": "u4",
+                "a_value": [[2, 1, 1]],
+                "centralizer_order": [[4, 3, 1], [2, 3, 1]],
+            },
+            {
+                "label": "u5",
+                "a_value": [[4, 1, 1]],
+                "centralizer_order": [[4, 2, 1]],
+            },
+        ],
+        "triple-2": [
+            {
+                "label": "u3",
+                "a_value": [[4, 3, 1]],
+                "centralizer_order": [[4, 6, 1]],
+            },
+            {
+                "label": "u4",
+                "a_value": [],
+                "centralizer_order": [[4, 3, 1]],
+            },
+            {
+                "label": "u5",
+                "a_value": [[4, 1, 1]],
+                "centralizer_order": [[4, 2, 1]],
+            },
+        ],
+    }
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(override))
+    code, out, err = run(
+        capsys, "paper-audit", "--section", "5", "--ledger", str(path), "--format", fmt
+    )
+    assert code == 1, err
+    # the path is echoed in input.ledger-override and in each citation
+    out = out.replace(str(path), "LEDGER")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_audit_text_format(capsys):
     code, out, _ = run(capsys, "paper-audit", "--format", "text", "--section", "6")
     assert code == 0

@@ -238,13 +238,17 @@ def test_reduced_route_matches_the_full_scan():
 
 def test_input_validation():
     G, T, CT = charactered("Sym(4)")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 2 classes, got 1"):
         frobenius_count(CT, (1,))
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"class id 99 outside 0\.\.4"):
         frobenius_count(CT, (0, 99))
-    with pytest.raises(ValueError):
+    with pytest.raises(IndexError, match=r"class id -1 outside 0\.\.4"):
+        frobenius_count(CT, (-1, 0))
+    with pytest.raises(IndexError, match=r"class id 5 outside 0\.\.4"):
+        class_algebra_constant(CT, 0, 1, 5)
+    with pytest.raises(ValueError, match="need at least 2 classes, got 1"):
         enumerate_solutions(G, T, (2,))
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"class id 99 outside 0\.\.4"):
         enumerate_solutions(G, T, (2, 99))
 
 

@@ -9,7 +9,7 @@ from rigidity.errors import (
     GroupSpecError,
     UnknownConstructorError,
 )
-from rigidity.groupspec import build_group, parse_group_spec
+from rigidity.groupspec import GroupSpec, build_group, parse_group_spec
 
 
 def test_named_constructors_parse():
@@ -52,8 +52,13 @@ def test_mat_constructor():
 def test_unknown_constructor():
     with pytest.raises(UnknownConstructorError) as info:
         parse_group_spec("Foo(3)")
-    assert "Foo" in str(info.value)
-    assert "Sym" in str(info.value)
+    assert str(info.value) == (
+        "unknown constructor 'Foo' "
+        "(expected one of Sym, Alt, Cyc, Dih, SO3, Omega3, Perm, Mat)"
+    )
+    spec = GroupSpec(constructor="Foo", params=(3,), generators=None, text="Foo(3)")
+    with pytest.raises(UnknownConstructorError, match="unknown constructor 'Foo'"):
+        spec.build()
 
 
 def test_error_positions():

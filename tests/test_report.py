@@ -10,7 +10,7 @@ import pytest
 from conftest import cyclotomic_sum
 from rigidity.cyclotomic import zeta
 from rigidity.elements import Permutation, PrimeFieldMatrix
-from rigidity.qsymbolic import QPolynomial
+from rigidity.qsymbolic import QPolynomial, QRationalFunction
 from rigidity.report import (
     canonical_json,
     cyclo_text,
@@ -42,10 +42,14 @@ def test_jsonable_cyclotomic():
 
 def test_jsonable_polynomials():
     q = QPolynomial.monomial(1, 1)
-    assert jsonable(q * q - 1) == "q^2 - 1"
+    one = QPolynomial.one()
+    assert jsonable(q * q - one) == "q^2 - 1"
     # the quotient reduces to a polynomial and prints bare
-    assert jsonable((q * q - 1) / (q - 1)) == "q + 1"
-    assert jsonable(QPolynomial.one() / (q - 1)) == "(1) / (q - 1)"
+    assert jsonable(QRationalFunction(q * q - one, q - one)) == "q + 1"
+    assert jsonable(QRationalFunction(one, q - one)) == "(1) / (q - 1)"
+    # the text form is the same str()
+    values = {"sum": QRationalFunction(one, q - one), "a-value": q * q - one}
+    assert render_text(values) == "sum: (1) / (q - 1)\na-value: q^2 - 1"
 
 
 def test_jsonable_containers_and_rejection():
