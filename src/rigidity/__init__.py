@@ -37,7 +37,7 @@ from .groups import (
     sym_group,
 )
 from .groupspec import build_group, parse_group_spec
-from .murnaghan import align_to_class_table, murnaghan_nakayama
+from .murnaghan import murnaghan_nakayama
 from .qsymbolic import (
     LEDGER_ONE,
     LEDGER_TWO,
@@ -82,7 +82,6 @@ __all__ = [
     "sym_group",
     "build_group",
     "parse_group_spec",
-    "align_to_class_table",
     "murnaghan_nakayama",
     "LEDGER_ONE",
     "LEDGER_TWO",

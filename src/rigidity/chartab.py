@@ -149,8 +149,6 @@ class CharacterTable:
     class_sizes: tuple[int, ...]
     class_orders: tuple[int, ...]
     rows: tuple[Character, ...]
-    # set only by the symmetric-group oracle, for column alignment by cycle type
-    class_cycle_types: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def num_classes(self) -> int:
@@ -403,21 +401,15 @@ def character_table(G: FiniteGroup, T: ClassTable) -> CharacterTable:
         except SplitFailureError as exc:
             failure = exc
             continue
-        report = verify_orthogonality(table)
-        if not report.passed:
-            raise VerificationError(report.failure)
+        violation = verify_orthogonality(table)
+        if violation is not None:
+            raise VerificationError(violation)
         return table
     raise SplitFailureError("splitting failed for four admissible primes") from failure
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    passed: bool
-    failure: str | None
-
-
-def verify_orthogonality(ct: CharacterTable) -> OrthogonalityReport:
-    """Exact first and second orthogonality relations, first violation reported.
+def verify_orthogonality(ct: CharacterTable) -> str | None:
+    """Exact first and second orthogonality relations: the first violation's text, or None.
 
     Sums run on `ct.integer_columns`, which hold D·χ, so each sum is D² times
     its value.  The second relation Σ_χ χ(g_k)·conj χ(g_l) = δ_kl·|G|/|C_k|
@@ -454,14 +446,10 @@ def verify_orthogonality(ct: CharacterTable) -> OrthogonalityReport:
         for b in range(a, r):
             pairs = zip(sizes, (col[a] for col in columns), (conj[b] for conj in conjugates))
             if not holds(pairs, a == b):
-                return OrthogonalityReport(
-                    passed=False, failure=f"row orthogonality fails for rows {a}, {b}"
-                )
+                return f"row orthogonality fails for rows {a}, {b}"
     for k in range(len(sizes)):
         for l in range(k, len(sizes)):
             pairs = ((sizes[k], x, y) for x, y in zip(columns[k], conjugates[l]))
             if not holds(pairs, k == l):
-                return OrthogonalityReport(
-                    passed=False, failure=f"column orthogonality fails for classes {k}, {l}"
-                )
-    return OrthogonalityReport(passed=True, failure=None)
+                return f"column orthogonality fails for classes {k}, {l}"
+    return None

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .groups import DEFAULT_CAP
 from .groupspec import parse_group_spec
-from .murnaghan import align_to_class_table, murnaghan_nakayama
+from .murnaghan import murnaghan_nakayama
 from .report import canonical_json, element_text, render_text
 
 EXIT_PASS = 0
@@ -48,8 +48,11 @@ _SELECTOR_RE = re.compile(r"^order(\d+)size(\d+)$")
 
 def _build(args):
     spec = parse_group_spec(args.spec)
-    cap = args.cap if args.cap is not None else DEFAULT_CAP
-    return spec, spec.build(cap)
+    return spec, spec.build(_group_cap(args))
+
+
+def _group_cap(args) -> int:
+    return args.cap if args.cap is not None else DEFAULT_CAP
 
 
 def _iteration_cap(args) -> int:
@@ -130,7 +133,11 @@ def cmd_classes(args):
 
 
 def cmd_chartab(args):
-    spec, G = _build(args)
+    spec = parse_group_spec(args.spec)
+    # before any enumeration; Sym(0) is left to the build's own degree error
+    if args.oracle and (spec.constructor != "Sym" or spec.params[0] > 7):
+        raise ValueError("--oracle needs a Sym(n) group with n <= 7")
+    G = spec.build(_group_cap(args))
     T = conjugacy_classes(G)
     CT = character_table(G, T)
     body = {
@@ -142,9 +149,7 @@ def cmd_chartab(args):
     }
     code = EXIT_PASS
     if args.oracle:
-        if spec.constructor != "Sym" or not 1 <= spec.params[0] <= 7:
-            raise ValueError("--oracle needs a Sym(n) group with n <= 7")
-        oracle = align_to_class_table(murnaghan_nakayama(spec.params[0]), T)
+        oracle = murnaghan_nakayama(T)
         diff = []
         for i, (row, orow) in enumerate(zip(CT.rows, oracle.rows)):
             for k in range(CT.num_classes):

@@ -99,31 +99,41 @@ class Permutation:
         return self.images == tuple(range(self.degree))
 
     def encode(self) -> bytes:
-        """Canonical encoding; lexicographic order matches image-tuple order."""
-        width = 1 if self.degree <= 0xFF else 2
+        """Canonical encoding; lexicographic order matches image-tuple order.
+
+        Every image is below the degree, so it fits the degree's byte width."""
+        width = (self.degree.bit_length() + 7) // 8
         body = b"".join(x.to_bytes(width, "big") for x in self.images)
         return b"P" + self.degree.to_bytes(4, "big") + body
 
     def compatible_with(self, other) -> bool:
         return isinstance(other, Permutation) and other.degree == self.degree
 
-    def cycle_string(self) -> str:
-        """Disjoint cycle notation, fixed points omitted; identity is ()."""
-        seen = set()
-        parts = []
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Disjoint cycles, each from its least point, fixed points included."""
+        images = self.images
+        seen = [False] * self.degree
+        cycles = []
         for start in range(self.degree):
-            if start in seen or self.images[start] == start:
-                seen.add(start)
+            if seen[start]:
                 continue
             cycle = [start]
-            seen.add(start)
-            x = self.images[start]
+            seen[start] = True
+            x = images[start]
             while x != start:
                 cycle.append(x)
-                seen.add(x)
-                x = self.images[x]
-            parts.append("(" + " ".join(str(p) for p in cycle) + ")")
-        return "".join(parts) if parts else "()"
+                seen[x] = True
+                x = images[x]
+            cycles.append(tuple(cycle))
+        return cycles
+
+    def cycle_string(self) -> str:
+        """Disjoint cycle notation, fixed points omitted; identity is ()."""
+        return "".join(
+            "(" + " ".join(map(str, cycle)) + ")"
+            for cycle in self.cycles()
+            if len(cycle) > 1
+        ) or "()"
 
     def __eq__(self, other):
         return (
@@ -255,7 +265,7 @@ class PrimeFieldMatrix:
         body = b"".join(
             x.to_bytes(width, "big") for row in self.entries for x in row
         )
-        return b"M" + self.p.to_bytes(2, "big") + self.n.to_bytes(1, "big") + body
+        return b"M" + self.p.to_bytes(2, "big") + self.n.to_bytes(2, "big") + body
 
     def compatible_with(self, other) -> bool:
         return (

@@ -1,20 +1,20 @@
 """Symmetric-group character tables by rim-hook recursion.
 
 An independent oracle for the eigenvalue pipeline: values are computed purely
-combinatorially, one partition pair at a time, with no group enumeration and
+combinatorially, one partition pair at a time, with no group arithmetic and
 no modular arithmetic.  The recursion removes the first part t of the cycle
 type as a rim hook from the shape: working with the beta-set
 {λ_i + (m−1−i)}, a removable t-hook is an element b with b−t ≥ 0 absent from
 the set, the replacement b ↦ b−t removes it, and the hook's leg length is the
 number of set elements strictly between b−t and b.
 
-Columns are keyed by cycle type; use align_to_class_table to reorder them to
-match an enumerated group's class convention before comparing tables.
+`murnaghan_nakayama` takes the class table of an enumerated Sym(n) and reads
+only the cycle type of each class representative: column k is keyed by class
+k's, so the result compares entry by entry with `character_table`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
@@ -40,20 +40,7 @@ def partitions(n: int) -> list[tuple[int, ...]]:
 
 def cycle_type(perm: Permutation) -> tuple[int, ...]:
     """Cycle lengths including fixed points, sorted descending."""
-    seen = set()
-    lengths = []
-    for start in range(perm.degree):
-        if start in seen:
-            continue
-        length = 1
-        seen.add(start)
-        x = perm.images[start]
-        while x != start:
-            seen.add(x)
-            x = perm.images[x]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+    return tuple(sorted(map(len, perm.cycles()), reverse=True))
 
 
 def class_size_of_type(mu: tuple[int, ...]) -> int:
@@ -97,59 +84,29 @@ def mn_value(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return total
 
 
-def murnaghan_nakayama(n: int) -> CharacterTable:
-    """Character table of the symmetric group on n points, n ≤ 7."""
+def murnaghan_nakayama(T: ClassTable) -> CharacterTable:
+    """Character table of Sym(n), n ≤ 7, in the class order of its class table T."""
+    G = T.group
+    reps = [G.elements[c.representative] for c in T.classes]
+    if not all(isinstance(rep, Permutation) for rep in reps):
+        raise ValueError("not a permutation group; the oracle needs a class table of Sym(n)")
+    n = reps[0].degree
     if not 1 <= n <= 7:
         raise ValueError(f"supported range is 1 ≤ n ≤ 7, got {n}")
-    types = partitions(n)
-    sizes = {mu: class_size_of_type(mu) for mu in types}
-    orders = {mu: lcm(*mu) for mu in types}
-    columns = sorted(types, key=lambda mu: (orders[mu], sizes[mu], mu))
-    rows = []
-    for lam in partitions(n):
-        values = tuple(
-            Cyclotomic.from_rational(mn_value(lam, mu)) for mu in columns
+    if G.order != factorial(n):
+        raise ValueError(f"a group of order {G.order} is not Sym({n})")
+    columns = [cycle_type(rep) for rep in reps]
+    rows = [
+        Character(
+            degree=mn_value(lam, (1,) * n),
+            values=tuple(Cyclotomic.from_rational(mn_value(lam, mu)) for mu in columns),
         )
-        degree = mn_value(lam, (1,) * n)
-        rows.append(Character(degree=degree, values=values))
+        for lam in partitions(n)
+    ]
     rows.sort(key=Character.sort_key)
     return CharacterTable(
         group_order=factorial(n),
-        class_sizes=tuple(sizes[mu] for mu in columns),
-        class_orders=tuple(orders[mu] for mu in columns),
+        class_sizes=tuple(map(class_size_of_type, columns)),
+        class_orders=tuple(lcm(*mu) for mu in columns),
         rows=tuple(rows),
-        class_cycle_types=tuple(columns),
-    )
-
-
-def align_to_class_table(oracle: CharacterTable, T: ClassTable) -> CharacterTable:
-    """Reorder oracle columns to T's class order, matching by cycle type."""
-    if oracle.class_cycle_types is None:
-        raise ValueError("table carries no cycle-type keys")
-    G = T.group
-    column_of = {mu: i for i, mu in enumerate(oracle.class_cycle_types)}
-    perm_order = []
-    for c in T.classes:
-        rep = G.elements[c.representative]
-        if not isinstance(rep, Permutation):
-            raise ValueError("alignment target is not a permutation group")
-        mu = cycle_type(rep)
-        if mu not in column_of:
-            raise ValueError(f"no oracle column for cycle type {mu}")
-        perm_order.append(column_of[mu])
-    rows = []
-    for row in oracle.rows:
-        rows.append(
-            Character(
-                degree=row.degree,
-                values=tuple(row.values[i] for i in perm_order),
-            )
-        )
-    rows.sort(key=Character.sort_key)
-    return CharacterTable(
-        group_order=oracle.group_order,
-        class_sizes=tuple(oracle.class_sizes[i] for i in perm_order),
-        class_orders=tuple(oracle.class_orders[i] for i in perm_order),
-        rows=tuple(rows),
-        class_cycle_types=tuple(oracle.class_cycle_types[i] for i in perm_order),
     )

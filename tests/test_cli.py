@@ -8,6 +8,7 @@ import json
 import pytest
 
 from rigidity import cli, counting, errors
+from rigidity.groupspec import GroupSpec
 
 
 def run(capsys, *argv):
@@ -135,6 +136,33 @@ def test_chartab_oracle_requires_symmetric_spec(capsys):
     assert "Sym" in err
 
 
+def test_chartab_oracle_is_checked_before_enumeration(capsys, monkeypatch):
+    def refuse(spec, cap):
+        raise AssertionError(f"{spec.text} was enumerated")
+
+    monkeypatch.setattr(GroupSpec, "build", refuse)
+    for spec in ("Alt(8)", "Sym(8)", "Cyc(3)", "Perm(3; (0 1 2))"):
+        assert run(capsys, "chartab", spec, "--oracle") == (
+            2,
+            "",
+            "error: --oracle needs a Sym(n) group with n <= 7\n",
+        )
+
+
+def test_chartab_oracle_range_precedes_the_cap(capsys):
+    # a too-large Sym(n) with --oracle is a usage error, not a cap error (3)
+    code, _, err = run(capsys, "chartab", "Sym(8)", "--oracle", "--cap", "100")
+    assert code == 2
+    assert err == "error: --oracle needs a Sym(n) group with n <= 7\n"
+    assert run(capsys, "chartab", "Sym(0)", "--oracle")[2] == "error: degree must be ≥ 1, got 0\n"
+
+
+def test_order_of_a_permutation_degree_past_two_bytes(capsys):
+    data = run_json(capsys, "order", "Perm(70000; (0 1))")
+    assert data["order"] == 2
+    assert data["generators"] == ["(0 1)"]
+
+
 def test_count_pair(capsys):
     data = run_json(capsys, "count", "Sym(3)", "id:1", "id:1")
     assert data["count"] == 3
@@ -257,6 +285,31 @@ def test_sym8_character_table_output_is_pinned(capsys):
 )
 def test_alternating_table_outputs_are_pinned(capsys, argv, digest):
     # recorded while the split still counted whole class matrices
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("chartab", "Sym(7)", "--oracle", "--format", "structured"),
+            "30e4ba3baa72ad009b58f3000465084f9a6efe51b79d6f9e26aa7294e091e03e",
+        ),
+        (
+            ("chartab", "Sym(5)", "--oracle"),
+            "48e1fa9ba244d116ed99814679dbfc13415150cbdd13507630b1b7ce5cc654c2",
+        ),
+        (
+            ("paper-audit", "--section", "4"),
+            "9c036b5a58d1a4c061d8e81dc3ecf3e840a95f09dc8d892c477cdfc6f0159eb6",
+        ),
+    ],
+    ids=["oracle-Sym(7)-structured", "oracle-Sym(5)-text", "audit-section-4"],
+)
+def test_oracle_outputs_are_pinned(capsys, argv, digest):
+    # recorded while the oracle still sorted its own columns and was realigned
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -66,6 +66,19 @@ def test_cycle_string():
     assert p.cycle_string() == "(0 1)(2 3 4)"
 
 
+def test_cycles_start_at_least_points_and_keep_fixed_points():
+    assert Permutation.identity(3).cycles() == [(0,), (1,), (2,)]
+    p = Permutation.from_cycles(6, [(0, 1), (4, 2, 3)])
+    assert p.cycles() == [(0, 1), (2, 3, 4), (5,)]
+    assert p.cycle_string() == "(0 1)(2 3 4)"
+    for q in all_perms(4):
+        cycles = q.cycles()
+        assert sorted(x for cycle in cycles for x in cycle) == [0, 1, 2, 3]
+        for cycle in cycles:
+            assert cycle[0] == min(cycle)
+            assert all(q.images[x] == cycle[(i + 1) % len(cycle)] for i, x in enumerate(cycle))
+
+
 def test_degree_mismatch_raises():
     with pytest.raises(IncompatibleGeneratorsError):
         Permutation.identity(3) * Permutation.identity(4)
@@ -84,6 +97,15 @@ def test_encode_orders_like_image_tuples():
 def test_encode_width_switches_past_byte_degrees():
     assert len(Permutation.identity(10).encode()) == 1 + 4 + 10
     assert len(Permutation.identity(300).encode()) == 1 + 4 + 2 * 300
+
+
+def test_encode_fits_images_past_two_bytes_and_dimensions_past_one():
+    # images up to 69999 need 3 bytes
+    a = Permutation.from_cycles(70000, [(0, 69999)])
+    b = Permutation.from_cycles(70000, [(0, 65536)])
+    assert len(a.encode()) == 1 + 4 + 3 * 70000
+    assert sorted([a, b], key=lambda p: p.encode()) == sorted([a, b], key=lambda p: p.images)
+    assert len(PrimeFieldMatrix.identity(2, 256).encode()) == 1 + 2 + 2 + 256 * 256
 
 
 def invertible_mats_mod3() -> list[PrimeFieldMatrix]:

@@ -6,7 +6,12 @@ from math import factorial
 
 import pytest
 
+from conftest import SL23, charactered, classed
+from rigidity.chartab import Character
+from rigidity.conjugacy import conjugacy_classes
+from rigidity.cyclotomic import Cyclotomic
 from rigidity.elements import Permutation
+from rigidity.groups import closure_enumerate
 from rigidity.murnaghan import (
     class_size_of_type,
     cycle_type,
@@ -85,19 +90,49 @@ def test_column_orthogonality():
             assert total * class_size_of_type(mu) == factorial(n)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["Perm(6; (0 2), (0 2 3 5 4 1))", "Perm(5; (1 3), (4 0 2 1 3))"],
+)
+def test_oracle_matches_eigenvalue_route_on_relabelled_generators(spec):
+    # class representatives here differ from those of Sym(n)
+    G, T, CT = charactered(spec)
+    oracle = murnaghan_nakayama(T)
+    assert G.order == factorial(G.elements[0].degree)
+    assert oracle.group_order == CT.group_order
+    assert oracle.class_sizes == CT.class_sizes
+    assert oracle.class_orders == CT.class_orders
+    assert oracle.rows == CT.rows
+
+
 def test_table_shape_and_keys():
-    ct = murnaghan_nakayama(5)
+    G, T = classed("Sym(5)")
+    ct = murnaghan_nakayama(T)
     assert ct.group_order == 120
     assert len(ct.rows) == 7
-    assert ct.class_cycle_types is not None
-    assert len(ct.class_cycle_types) == 7
     assert sum(ct.class_sizes) == 120
+    # column k is keyed by the cycle type of class k's representative
+    types = [cycle_type(G.elements[c.representative]) for c in T.classes]
+    assert ct.class_sizes == tuple(c.size for c in T.classes)
+    assert ct.class_sizes == tuple(map(class_size_of_type, types))
+    assert ct.class_orders == tuple(T.element_order_of_class)
+    assert ct.rows == tuple(sorted(ct.rows, key=Character.sort_key))
     for chi in ct.rows:
-        assert chi.values[list(ct.class_cycle_types).index((1,) * 5)] == chi.degree
+        assert chi.values[types.index((1,) * 5)] == chi.degree
+    expected = {
+        tuple(Cyclotomic.from_rational(mn_value(lam, mu)) for mu in types)
+        for lam in partitions(5)
+    }
+    assert {chi.values for chi in ct.rows} == expected
 
 
 def test_range_limit():
-    with pytest.raises(ValueError):
-        murnaghan_nakayama(8)
-    with pytest.raises(ValueError):
-        murnaghan_nakayama(0)
+    with pytest.raises(ValueError, match="got 8"):
+        murnaghan_nakayama(classed("Cyc(8)")[1])
+    empty = closure_enumerate([Permutation(())])
+    with pytest.raises(ValueError, match="got 0"):
+        murnaghan_nakayama(conjugacy_classes(empty))
+    with pytest.raises(ValueError, match="not a permutation group"):
+        murnaghan_nakayama(classed(SL23)[1])
+    with pytest.raises(ValueError, match=r"a group of order 60 is not Sym\(5\)"):
+        murnaghan_nakayama(classed("Alt(5)")[1])
