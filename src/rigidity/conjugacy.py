@@ -2,10 +2,11 @@
 
 Classes are the orbits (`groups.orbit_partition`) under conjugation by the
 stored generators only; that suffices because the generators generate, and it
-costs O(|G| · #generators) conjugations instead of O(|G|²).  Each is one
-call of `FiniteGroup.conjugate`; for an enumerated group it reads the
-generator's conjugation row, built from the enumeration with no element
-product.
+costs O(|G| · #generators) conjugations instead of O(|G|²).  Each step reads
+one entry of a generator's whole conjugation row
+(`FiniteGroup.conjugation_row`); for an enumerated group that row is built
+from the enumeration tree by list lookups, with one element inverse and no
+product.  The inverse class map takes one element inverse per class.
 
 The class ordering convention is fixed project-wide: sort by (element order,
 class size, least member index).  The identity class therefore always gets
@@ -51,7 +52,9 @@ def conjugacy_classes(G: FiniteGroup) -> ClassTable:
     keyed = sorted(
         (G.element_order(least), len(members), least, tuple(sorted(members)))
         for least, members in orbit_partition(
-            range(n), G.generator_indices, G.conjugate
+            range(n),
+            [G.conjugation_row(g) for g in G.generator_indices],
+            lambda x, row: row[x],
         )
     )
     classes = []

@@ -11,7 +11,8 @@ The public constructors (`Permutation(images)`, `Permutation.identity`,
 input.  Products and inverses of valid elements are valid by construction, so
 they are built unchecked: `object.__new__`, then the slots are set, with no
 `sorted(images)` check and no reduction mod p.  `__mul__` still rejects
-factors of different degree or modulus.
+factors of different degree or modulus.  An element hashes as its image
+tuple or its entry rows, so a lookup in a group's index builds no key tuple.
 
 `row_reduce` is the one Gauss–Jordan elimination over F_p: matrix inverses
 here and the eigenspace split in `chartab` both call it.
@@ -136,14 +137,11 @@ class Permutation:
         ) or "()"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Permutation)
-            and self.degree == other.degree
-            and self.images == other.images
-        )
+        # equal images have equal length, so equal degree
+        return type(other) is Permutation and self.images == other.images
 
     def __hash__(self):
-        return hash(("P", self.degree, self.images))
+        return hash(self.images)
 
     def __repr__(self):
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
@@ -276,13 +274,13 @@ class PrimeFieldMatrix:
 
     def __eq__(self, other):
         return (
-            isinstance(other, PrimeFieldMatrix)
+            type(other) is PrimeFieldMatrix
             and self.p == other.p
             and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash(("M", self.p, self.entries))
+        return hash(self.entries)
 
     def __repr__(self):
         return f"PrimeFieldMatrix(p={self.p}, {list(map(list, self.entries))})"

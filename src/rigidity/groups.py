@@ -16,17 +16,21 @@ longer tuples also fill the rows of their partial products.
 `conjugate` is the one conjugation path, memoized the same way: one row of
 |G| ints per conjugator g, holding g⁻¹xg at position x.  The enumeration
 computes x·g for every element x and stored generator g and keeps the index
-it finds as R_g.  With ι the inverse map, g⁻¹xg = ι(R_g(ι(R_g(x)))), so a
-stored generator's row is built whole from index lookups alone on first use,
-and then replaces R_g.  Any other conjugator's row starts empty and is filled
-an entry at a time by element arithmetic; so are the rows of groups wrapped
-from a closed element list (`from_closed_elements`), which keep no R_g.  The
-conjugators the program uses are the stored generators, the centralizer
-generators of class representatives and the entries that seed a census
-fingerprint, so the memo holds one |G|-int row for each distinct one of them.
-Subgroup generation and the centralizer transversal use element arithmetic,
-which fills no row.  Centralizer generators are memoized per element; the
-scan asks only for class representatives.
+it finds as R_g.  Being breadth-first, it first meets each k ≠ 0 as R_h[x]
+for its parent x in the Schreier tree, so the R rows hold the tree, and left
+multiplication by any c is a row of lookups: L_c[0] = c, L_c[k] = R_h[L_c[x]].
+A stored generator's row C_g = R_g ∘ L_{g⁻¹} thus takes one element inverse
+and no product; it is built whole on first use (`conjugation_row`), and the
+R rows are dropped once every stored generator has its row.  Groups wrapped
+from a closed element list (`from_closed_elements`) keep no R rows and build
+a generator's row by element arithmetic.  Any other conjugator's row is
+filled an entry at a time by element arithmetic.  The conjugators the program
+uses are the stored generators, the centralizer generators of class
+representatives and the entries that seed a census fingerprint.  Inverses
+are memoized per element; no whole-group inverse map is built.  Subgroup
+generation and the centralizer transversal use element arithmetic, which
+fills no row.  Centralizer generators are memoized per element; the scan
+asks only for class representatives.
 
 Every closure in the toolkit (subgroups, conjugacy classes, orbits of solution
 tuples) is one call of `orbit`, or of `orbit_partition` when a whole point set
@@ -101,8 +105,10 @@ class FiniteGroup:
     """A fully enumerated finite group; element 0 is the identity."""
 
     def __init__(self, elements: list, generator_indices, index=None, right_rows=None):
-        """index, when given, maps each element to its position; right_rows
-        maps a stored generator g to the list of indices of x·g over all x.
+        """index, when given, maps each element to its position.  right_rows,
+        when given, holds one row per stored generator g, in the order of
+        generator_indices, of the indices of x·g over all x, as a
+        breadth-first enumeration found them.
 
         Two memos grow on demand, each one row of |G| ints: products by left
         factor (`mult`) and conjugations by conjugator (`conjugate`)."""
@@ -113,10 +119,10 @@ class FiniteGroup:
                 raise ValueError("duplicate elements in group table")
         self.index: dict[GroupElement, int] = index
         self.generator_indices: tuple[int, ...] = tuple(generator_indices)
-        self._right_rows: dict[int, list[int]] = dict(right_rows or {})
+        self._right_rows: list[list[int]] | None = right_rows
         self._rows: list[list[int] | None] = [None] * len(self.elements)
         self._conjugates: dict[int, list[int]] = {}
-        self._inverses: list[int] | None = None
+        self._inverses: dict[int, int] = {}
         self._orders: list[int] = [0] * len(self.elements)
         self._centralizers: dict[int, tuple[int, ...]] = {}
 
@@ -174,21 +180,50 @@ class FiniteGroup:
         return k
 
     def inverse(self, i: int) -> int:
-        return self._inverse_map()[i]
+        """Index of elements[i]⁻¹, by element arithmetic, memoized per element."""
+        try:
+            return self._inverses[i]
+        except KeyError:
+            self._check_index(i)
+            k = self._inverses[i] = self.index[self.elements[i].inverse()]
+            return k
 
-    def _inverse_map(self) -> list[int]:
-        if self._inverses is None:
-            index = self.index
-            self._inverses = [index[g.inverse()] for g in self.elements]
-        return self._inverses
+    def conjugation_row(self, g: int) -> list[int]:
+        """The whole row of a stored generator g: g⁻¹xg's index at position x.
+
+        Built on first use and memoized: from the enumeration's R rows by list
+        lookups while the group keeps them, else by element arithmetic."""
+        row = self._conjugates.get(g)
+        if row is None:
+            if g not in self.generator_indices:
+                raise ValueError(f"element {g!r} is not a stored generator")
+            rights, elements = self._right_rows, self.elements
+            if rights is None:
+                right, left = elements[g], elements[self.inverse(g)]
+                row = [self.index[left * x * right] for x in elements]
+            else:
+                # L_{g⁻¹} in enumeration order: R_h[x] is new exactly when it
+                # is the next index, and then L[R_h[x]] = R_h[L[x]]
+                row = [self.inverse(g)]
+                for x, left in enumerate(row):
+                    for right in rights:
+                        if right[x] == len(row):
+                            row.append(right[left])
+                # C_g = R_g ∘ L_{g⁻¹}, written over L
+                right = rights[self.generator_indices.index(g)]
+                for x, y in enumerate(row):
+                    row[x] = right[y]
+            self._conjugates[g] = row
+            if all(h in self._conjugates for h in self.generator_indices):
+                self._right_rows = None
+        return row
 
     def conjugate(self, i: int, g: int) -> int:
         """Index of g⁻¹ x g for x = elements[i], memoized in g's row.
 
-        A stored generator's row is built whole from R_g, which it replaces;
-        any other row is filled an entry at a time by element arithmetic.
-        As in `mult`, an index past the end is checked only where it would
-        fail."""
+        A stored generator's row is `conjugation_row`, built whole; any other
+        row is filled an entry at a time by element arithmetic.  As in
+        `mult`, an index past the end is checked only where it would fail."""
         if i < 0 or g < 0:
             self._check_index(min(i, g))
         try:
@@ -198,14 +233,10 @@ class FiniteGroup:
             # g's first conjugation: check both before memoizing its row
             self._check_index(g)
             self._check_index(i)
-            right = self._right_rows.pop(g, None)
-            if right is None:
-                row = [-1] * len(self.elements)
-            else:
-                inv = self._inverse_map()
-                row = [inv[right[inv[k]]] for k in right]
-            self._conjugates[g] = row
-            k = row[i]
+            if g in self.generator_indices:
+                return self.conjugation_row(g)[i]
+            row = self._conjugates[g] = [-1] * len(self.elements)
+            k = -1
         except IndexError:
             self._check_index(i)
             raise
@@ -360,10 +391,7 @@ def closure_enumerate(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
     index = {identity: 0}
     # right[k][x] is the index of elements[x] * unique[k], the index dict's own int
     right = [[] for _ in unique]
-    qi = 0
-    while qi < len(elements):
-        x = elements[qi]
-        qi += 1
+    for x in elements:
         for g, row in zip(unique, right):
             y = x * g
             k = index.get(y)
@@ -376,7 +404,7 @@ def closure_enumerate(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
                 elements.append(y)
             row.append(k)
     gen_indices = [index[g] for g in unique]
-    return FiniteGroup(elements, gen_indices, index, dict(zip(gen_indices, right)))
+    return FiniteGroup(elements, gen_indices, index, right)
 
 
 def so3_enumerate(p: int) -> FiniteGroup:

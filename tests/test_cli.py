@@ -315,6 +315,29 @@ def test_oracle_outputs_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        ("Sym(8)", "999099e155de656639577b300a1d42faac05115a2bde4e675bb4264145107576"),
+        # wrapped from a closed element list, so its generators have no tree
+        ("SO3(7)", "057bff58fa239363ea0e4a35018e8747fee02c206f1400377b1a6c9ae485b7bb"),
+        (
+            "Mat(7, 2; [1 1 0 1], [0 6 1 0])",
+            "80d2e7fadf1e01bbb01b0f140c2f0416f26fd546c9e6e797dd6d48fa3d095cea",
+        ),
+        (
+            "Perm(6; (0 2), (0 2 3 5 4 1))",
+            "0a10343a7ca3468d68b48ad6598653dbec4a18fda1ae32ced1a5536e12587245",
+        ),
+    ],
+)
+def test_class_outputs_are_pinned(capsys, spec, digest):
+    # recorded while the class sweep still conjugated through the inverse map
+    code, out, err = run(capsys, "classes", spec)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_rigid_order_mode_needs_three(capsys):
     assert run(capsys, "rigid", "Sym(5)", "2", "4")[0] == 2
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from conftest import Q8, Q8_FLATS, group
+from conftest import Q8, Q8_FLATS, SL27, group
 
 from rigidity.conjugacy import conjugacy_classes
 from rigidity.elements import Permutation, PrimeFieldMatrix
@@ -76,6 +76,22 @@ def test_inverse_table():
         assert G.mult(G.inverse(i), i) == 0
 
 
+@pytest.mark.parametrize("spec", ["Sym(5)", SL27, "SO3(5)"])
+def test_inverse_matches_element_arithmetic(spec):
+    # a fresh group: every answer is first computed, then read from the memo
+    G = build_group(spec)
+    for i in range(G.order):
+        expected = G.index[G.elements[i].inverse()]
+        assert G.inverse(i) == G.inverse(i) == expected
+        assert G.elements[i] * G.elements[expected] == G.elements[0]
+
+
+def test_class_sweep_inverts_only_representatives_and_generators():
+    G = build_group("Sym(7)")
+    T = conjugacy_classes(G)
+    assert 0 < len(G._inverses) <= T.num_classes + len(G.generator_indices)
+
+
 def test_conjugate_matches_element_arithmetic():
     # a fresh group, so the first answer of each conjugation fills the memo
     G = build_group(Q8)
@@ -132,13 +148,18 @@ def test_generator_conjugation_rows_match_element_arithmetic(spec):
                 # the second answer comes from the memo
                 assert G.conjugate(x, g) == G.conjugate(x, g) == expected
 
+    # an enumerated group keeps its R rows until every stored
+    # generator has its row; SO3(5) is wrapped from a closed element list
+    assert (G._right_rows is None) == (spec == "SO3(5)")
     for g in G.generator_indices:
         G.conjugate(0, g)
-        # an enumerated group's generator row is built whole from R_g, which
-        # it replaces; SO3(5) is wrapped from a closed element list, so its
-        # rows fill entry by entry
-        assert (-1 in G._conjugates[g]) == (spec == "SO3(5)")
-        assert g not in G._right_rows
+        # the first conjugation builds the generator's whole row
+        assert -1 not in G._conjugates[g]
+        assert G.conjugation_row(g) is G._conjugates[g]
+    assert G._right_rows is None
+    # other conjugators' rows fill entry by entry, through `conjugate` only
+    with pytest.raises(ValueError, match="not a stored generator"):
+        G.conjugation_row(next(x for x in range(G.order) if x not in G.generator_indices))
     check(G.generator_indices)
     T = conjugacy_classes(G)
     check({g for c in T.classes for g in G.centralizer_generators(c.representative)})
@@ -186,6 +207,13 @@ def test_closure_cap():
     ]
     with pytest.raises(CapExceededError):
         closure_enumerate(gens, cap=50)
+    # at the boundary, for both element kinds: Sym(5) and SL(2,3)
+    sl23 = [PrimeFieldMatrix.from_flat(3, 2, flat) for flat in ((1, 1, 0, 1), (0, 2, 1, 0))]
+    for gens, order in ((gens, 120), (sl23, 24)):
+        assert closure_enumerate(gens, cap=order).order == order
+        message = f"closure exceeded the cap of {order - 1} elements"
+        with pytest.raises(CapExceededError, match=message):
+            closure_enumerate(gens, cap=order - 1)
 
 
 def test_named_builder_caps_trip_fast():

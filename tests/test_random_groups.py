@@ -1,20 +1,27 @@
-"""Table and count invariants on randomly generated permutation groups."""
+"""Table and count invariants on randomly generated permutation and matrix groups."""
 
 from __future__ import annotations
 
+from itertools import product
 from math import factorial
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rigidity.chartab import character_table, verify_orthogonality
 from rigidity.conjugacy import conjugacy_classes
 from rigidity.counting import count_equivalence
-from rigidity.elements import Permutation
+from rigidity.elements import Permutation, PrimeFieldMatrix
+from rigidity.errors import CapExceededError
 from rigidity.groups import closure_enumerate
 from rigidity.murnaghan import murnaghan_nakayama
+
+# the all-triples count grows as the cube of the class count, so matrix
+# examples are kept to at most as many classes as Sym(6) has
+MATRIX_ORDER_CAP = 150
+MATRIX_CLASS_CAP = 11
 
 
 @st.composite
@@ -24,18 +31,71 @@ def generator_sets(draw):
     return [draw(st.permutations(range(n))) for _ in range(draw(st.integers(1, 2)))]
 
 
+# every invertible 2×2 matrix over F_p, as row-major entries
+INVERTIBLE = {
+    p: [m for m in product(range(p), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % p]
+    for p in (2, 3, 5, 7)
+}
+
+
+@st.composite
+def matrix_generator_sets(draw):
+    """(p, flats): one or two random invertible 2×2 matrices over F_p, p ≤ 7."""
+    p = draw(st.sampled_from(sorted(INVERTIBLE)))
+    flat = st.sampled_from(INVERTIBLE[p])
+    return p, [draw(flat) for _ in range(draw(st.integers(1, 2)))]
+
+
+def check_tables_and_counts(G, T):
+    """The invariants every group must satisfy; returns the character table."""
+    CT = character_table(G, T)
+    assert verify_orthogonality(CT) is None
+    assert all(G.order % c.size == 0 for c in T.classes)
+    assert count_equivalence(G, T, CT)[1] == []
+
+    # each stored generator's row and the class partition, against element arithmetic
+    els, index = G.elements, G.index
+    gens = [(els[g].inverse(), els[g]) for g in G.generator_indices]
+    for g, (hi, h) in zip(G.generator_indices, gens):
+        assert G.conjugation_row(g) == [index[hi * x * h] for x in els]
+    orbits = set()
+    for x in els:
+        members, queue = {x}, [x]
+        for y in queue:
+            for hi, h in gens:
+                z = hi * y * h
+                if z not in members:
+                    members.add(z)
+                    queue.append(z)
+        orbits.add(frozenset(index[y] for y in members))
+    assert orbits == {frozenset(c.members) for c in T.classes}
+    return CT
+
+
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(generator_sets())
 def test_random_permutation_group_tables_and_counts(generators):
     G = closure_enumerate([Permutation(images) for images in generators])
     T = conjugacy_classes(G)
-    CT = character_table(G, T)
-    assert verify_orthogonality(CT) is None
-    assert all(G.order % c.size == 0 for c in T.classes)
-    assert count_equivalence(G, T, CT)[1] == []
+    CT = check_tables_and_counts(G, T)
     if G.order == factorial(len(generators[0])):
         oracle = murnaghan_nakayama(T)
         assert oracle.group_order == CT.group_order
         assert oracle.class_sizes == CT.class_sizes
         assert oracle.class_orders == CT.class_orders
         assert oracle.rows == CT.rows
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(matrix_generator_sets())
+def test_random_matrix_group_tables_and_counts(generators):
+    p, flats = generators
+    try:
+        G = closure_enumerate(
+            [PrimeFieldMatrix.from_flat(p, 2, flat) for flat in flats], MATRIX_ORDER_CAP
+        )
+    except CapExceededError:
+        assume(False)
+    T = conjugacy_classes(G)
+    assume(T.num_classes <= MATRIX_CLASS_CAP)
+    check_tables_and_counts(G, T)
