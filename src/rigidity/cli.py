@@ -5,7 +5,8 @@ oracle.  Reports are emitted either as canonical JSON ("structured", the
 default for paper-audit and byte-deterministic for fixed inputs) or as
 indented plain text (the default elsewhere).
 
-Exit codes: 0 pass, 1 check failure, 2 usage or input error, 3 resource cap.
+Exit codes: 0 pass, 1 check failure, 2 usage or input error, 3 resource cap
+or out of memory.
 """
 
 from __future__ import annotations
@@ -391,6 +392,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         report, code = _COMMANDS[args.command](args)
+    except MemoryError:
+        report = None  # reported below, once the traceback's frames are freed
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -400,6 +403,9 @@ def main(argv=None) -> int:
     except (SplitFailureError, NonIntegerResultError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
+    if report is None:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_CAP
     fmt = args.format
     if fmt is None:
         fmt = "structured" if args.command == "paper-audit" else "text"

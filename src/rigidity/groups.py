@@ -34,8 +34,10 @@ asks only for class representatives.
 
 Every closure in the toolkit (subgroups, conjugacy classes, orbits of solution
 tuples) is one call of `orbit`, or of `orbit_partition` when a whole point set
-is split into orbits.  Subgroups are fingerprinted inside their parent group,
-by conjugating the parent's indices by the subgroup's generators.
+is split into orbits.  Every generated subgroup is closed by
+`_greedy_generators`, the derived subgroup from the orbits of the generators'
+commutators under conjugation.  Subgroups are fingerprinted inside their parent
+group, by conjugating the parent's indices by the subgroup's generators.
 
 The named constructors (symmetric, alternating, cyclic, dihedral, orthogonal)
 check their known order against the cap before enumerating anything, so a
@@ -75,8 +77,8 @@ def orbit(seed, gens, act) -> set:
 
 def _greedy_generators(elements, identity) -> tuple[list, set]:
     """(kept, generated): walk elements in order, keeping each one not yet
-    generated by the ones kept so far.  The walk is deterministic, so equal
-    inputs give equal choices."""
+    generated by the ones kept so far, at one `orbit` per element kept.  The
+    walk is deterministic, so equal inputs give equal choices."""
     kept: list = []
     covered = {identity}
     for x in elements:
@@ -299,46 +301,29 @@ class FiniteGroup:
         return gens
 
     def subgroup_generated(self, seed) -> set[int]:
-        """Index set of the subgroup generated by the seed indices.
-
-        Right-multiplication closure suffices: a finite set of invertible
-        elements closed under products and containing the identity is a group.
-        """
-        gen_indices = sorted(set(seed))
-        for s in gen_indices:
+        """Index set of the subgroup generated by the seed indices, closed by
+        `_greedy_generators` in index order: one closure per seed it keeps."""
+        seed = sorted(set(seed))
+        for s in seed:
             self._check_index(s)
-        elements, index = self.elements, self.index
-        return orbit(
-            0, [elements[s] for s in gen_indices], lambda x, g: index[elements[x] * g]
-        )
+        elements = self.elements
+        _, covered = _greedy_generators([elements[s] for s in seed], elements[0])
+        return {self.index[x] for x in covered}
 
     def derived_subgroup(self) -> set[int]:
-        """Index set of the commutator subgroup.
-
-        Seeded by commutators of the stored generators, formed by element
-        arithmetic so that no `mult` row is filled; the derived subgroup
-        is the normal closure of that seed, computed by alternating subgroup
-        closure with conjugation by generators until stable.
-        """
-        gens = self.generator_indices or (0,)
+        """Index set of the commutator subgroup: the subgroup generated by the
+        conjugacy classes of the stored generators' commutators.  These are
+        formed by element arithmetic, so no `mult` row is filled."""
+        gens = self.generator_indices
         elements, index = self.elements, self.index
-        seed = {0}
+        conjugates = set()
         for a in gens:
             for b in gens:
                 x, y = elements[a], elements[b]
-                seed.add(index[x.inverse() * y.inverse() * x * y])
-        closure_seed = sorted(seed)
-        while True:
-            members = self.subgroup_generated(closure_seed)
-            grew = False
-            for h in sorted(members):
-                for g in gens:
-                    y = self.conjugate(h, g)
-                    if y not in members:
-                        closure_seed.append(y)
-                        grew = True
-            if not grew:
-                return members
+                c = index[x.inverse() * y.inverse() * x * y]
+                if c not in conjugates:
+                    conjugates |= orbit(c, gens, self.conjugate)
+        return self.subgroup_generated(conjugates)
 
     def subgroup(self, indices) -> "FiniteGroup":
         """Materialize a multiplication-closed index set as its own group."""

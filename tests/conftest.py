@@ -1,15 +1,18 @@
 """Shared test helpers: one group pipeline cache keyed by spec text, the
-cyclotomic reference sum and tampered character tables."""
+commutator-closure reference, the cyclotomic reference sum and tampered
+character tables."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from rigidity.audit import Pipelines
 from rigidity.chartab import Character
 from rigidity.cyclotomic import Cyclotomic
+from rigidity.groups import orbit
 
 # quaternion group of order 8 as 2x2 matrices over F_3
 Q8_FLATS = ((0, 2, 1, 0), (1, 1, 1, 2))
@@ -21,6 +24,17 @@ _PIPELINES = Pipelines()
 group = _PIPELINES.group
 classed = _PIPELINES.classes
 charactered = _PIPELINES.characters
+
+
+def commutator_closure(G) -> set[int]:
+    """Indices of the subgroup generated by every commutator a⁻¹b⁻¹ab of G.
+
+    Brute force by element arithmetic, with all the commutators as generators
+    of one `orbit` call: no conjugation row and no `_greedy_generators`.
+    """
+    inverses = [(a.inverse(), a) for a in G.elements]
+    commutators = {ai * bi * a * b for ai, a in inverses for bi, b in inverses}
+    return {G.index[x] for x in orbit(G.elements[0], commutators, mul)}
 
 
 def cyclotomic_sum(terms) -> Cyclotomic:

@@ -86,6 +86,17 @@ def test_typed_errors_map_to_exit_codes(capsys, monkeypatch, error, code):
     assert err == f"error: {error}\n"
 
 
+def test_out_of_memory_exits_with_the_cap_code(capsys, monkeypatch):
+    def fail(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "order", fail)
+    status, out, err = run(capsys, "order", "Sym(3)")
+    assert status == 3
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_classes_output(capsys):
     data = run_json(capsys, "classes", "Alt(5)")
     sizes = [c["size"] for c in data["classes"]]
@@ -334,6 +345,37 @@ def test_oracle_outputs_are_pinned(capsys, argv, digest):
 def test_class_outputs_are_pinned(capsys, spec, digest):
     # recorded while the class sweep still conjugated through the inverse map
     code, out, err = run(capsys, "classes", spec)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            # prints the generators chosen from the derived subgroup's elements
+            ("order", "Omega3(7)"),
+            "0ca8c7c939303029b32ffee0eb7aaba4c37d0cf0f38d78899e9adbf76a3ed0a0",
+        ),
+        (
+            ("classes", "Omega3(7)"),
+            "df1cae2ca2439b81d09fbcea87a9ffc382f101f0a71e8aa8f36d8d89c08e840f",
+        ),
+        (
+            ("chartab", "Omega3(5)"),
+            "f14a79b111dd7ac2c056adfd32c3e217711f091a64f71ec7dc0828efbac91d34",
+        ),
+        (
+            # reports derived-subgroup-order
+            ("paper-audit", "--section", "2"),
+            "0bcd6f0d35c38e0697f37ef2d9063a3025f11b7bb7512cf024decf6777ff8775",
+        ),
+    ],
+    ids=["order-Omega3(7)", "classes-Omega3(7)", "chartab-Omega3(5)", "audit-section-2"],
+)
+def test_derived_subgroup_outputs_are_pinned(capsys, argv, digest):
+    # recorded while the derived subgroup was still a fixed-point loop
+    code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

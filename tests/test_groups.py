@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from conftest import Q8, Q8_FLATS, SL27, group
+from conftest import Q8, Q8_FLATS, SL23, SL27, commutator_closure, group
 
 from rigidity.conjugacy import conjugacy_classes
 from rigidity.elements import Permutation, PrimeFieldMatrix
@@ -316,6 +316,45 @@ def test_derived_subgroups():
     assert len(dih_group(4).derived_subgroup()) == 2
     # perfect group: derived subgroup is everything
     assert len(alt_group(5).derived_subgroup()) == 60
+    assert len(sym_group(7).derived_subgroup()) == 2520
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "Sym(4)",
+        "Sym(5)",
+        "Alt(5)",
+        "Dih(4)",
+        "Cyc(6)",
+        Q8,
+        SL23,
+        "Perm(5; (0 2), (0 2 3 4 1))",
+    ],
+)
+def test_derived_subgroup_is_the_commutator_closure(spec):
+    G = group(spec)
+    assert G.derived_subgroup() == commutator_closure(G)
+
+
+def test_subgroup_generated_from_a_redundant_seed():
+    # a whole class, or every element, against a two-element generating seed
+    G = group("Sym(5)")
+    classes = {
+        (G.element_order(c.representative), c.size): c.members
+        for c in conjugacy_classes(G).classes
+    }
+    whole = G.subgroup_generated(G.generator_indices)
+    assert whole == set(range(G.order))
+    assert G.subgroup_generated(range(G.order)) == whole
+    assert G.subgroup_generated(classes[2, 10]) == whole
+    # the 3-cycles generate Alt(5), as do (0 1 2) and (0 1 2 3 4)
+    alt5 = G.subgroup_generated(
+        G.index[Permutation.from_cycles(5, [cycle])]
+        for cycle in ((0, 1, 2), (0, 1, 2, 3, 4))
+    )
+    assert len(alt5) == 60
+    assert G.subgroup_generated(classes[3, 20]) == alt5
 
 
 @pytest.mark.parametrize("spec", ["SO3(5)", "Sym(5)"])

@@ -6,6 +6,7 @@ from itertools import product
 from math import factorial
 
 import pytest
+from conftest import commutator_closure
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
@@ -18,6 +19,8 @@ from rigidity.errors import CapExceededError
 from rigidity.groups import closure_enumerate
 from rigidity.murnaghan import murnaghan_nakayama
 
+# the derived subgroup is checked against brute force up to this order
+DERIVED_ORDER_CAP = 120
 # the all-triples count grows as the cube of the class count, so matrix
 # examples are kept to at most as many classes as Sym(6) has
 MATRIX_ORDER_CAP = 150
@@ -69,6 +72,14 @@ def check_tables_and_counts(G, T):
                     queue.append(z)
         orbits.add(frozenset(index[y] for y in members))
     assert orbits == {frozenset(c.members) for c in T.classes}
+
+    # the derived subgroup: the commutator closure, normal under the stored generators
+    if G.order <= DERIVED_ORDER_CAP:
+        derived = G.derived_subgroup()
+        rows = [G.conjugation_row(g) for g in G.generator_indices]
+        assert derived == commutator_closure(G) and all(
+            row[h] in derived for row in rows for h in derived
+        )
     return CT
 
 
