@@ -8,7 +8,9 @@ identities, (6) negative controls that must come out non-rigid or empty.
 
 Checks carry a provenance tag: "computed" for values this toolkit derives
 from scratch, "cited" for values imported from the literature ledger; every
-cited check carries its citation string.
+cited check carries its citation string.  A check against one expected value
+lists it before the computed one.  A ledger override file that cannot be
+read as a ledger is reported once, with the file's path.
 """
 
 from __future__ import annotations
@@ -52,6 +54,12 @@ def _check(name, ok, values, provenance="computed", citation=None):
     return entry
 
 
+def _expect(name, expected, computed):
+    return _check(
+        name, computed == expected, {"expected": expected, "computed": computed}
+    )
+
+
 class Pipelines:
     """Groups, class tables and character tables by spec text, each built once.
 
@@ -86,21 +94,9 @@ def _section_census(pipelines: Pipelines):
     census = abc_census(G, T, 2, 4, 5)
     orbit = census.orbits[0] if census.orbits else None
     checks = [
-        _check(
-            "total-solutions",
-            census.total == 120,
-            {"expected": 120, "computed": census.total},
-        ),
-        _check(
-            "orbit-count",
-            len(census.orbits) == 1,
-            {"expected": 1, "computed": len(census.orbits)},
-        ),
-        _check(
-            "stabilizer-order",
-            orbit is not None and orbit.stabilizer_order == 1,
-            {"expected": 1, "computed": orbit.stabilizer_order if orbit else None},
-        ),
+        _expect("total-solutions", 120, census.total),
+        _expect("orbit-count", 1, len(census.orbits)),
+        _expect("stabilizer-order", 1, orbit.stabilizer_order if orbit else None),
         _check(
             "generated-subgroup-orders",
             bool(census.orbits)
@@ -123,12 +119,8 @@ def _section_shadow(pipelines: Pipelines):
     sizes5 = [T.classes[i].size for i in order5]
     census = abc_census(G, T, 2, 4, 5)
     checks = [
-        _check("group-order", G.order == 120, {"expected": 120, "computed": G.order}),
-        _check(
-            "derived-subgroup-order",
-            derived_order == 60,
-            {"expected": 60, "computed": derived_order},
-        ),
+        _expect("group-order", 120, G.order),
+        _expect("derived-subgroup-order", 60, derived_order),
         _check(
             "fingerprint-match",
             fingerprint == sym5_fingerprint,
@@ -220,11 +212,7 @@ def _section_symbolic(pipelines: Pipelines, ledgers: dict[str, Ledger]):
             mass_union == 2,
             {"stabilizer-orders": [6, 3, 2, 2, 2], "mass": mass_union},
         ),
-        _check(
-            "component-group-splitting-data",
-            splitting == (6, 3, 2),
-            {"expected": [6, 3, 2], "computed": list(splitting)},
-        ),
+        _expect("component-group-splitting-data", [6, 3, 2], list(splitting)),
         _check(
             "dimension-criterion",
             total == 28 and satisfied and total == 2 * 14,
@@ -308,33 +296,32 @@ def _poly_from_terms(terms, where: str) -> QPolynomial:
 
 
 def load_ledger_overrides(path: str) -> dict[str, Ledger]:
-    """Parse a ledger override file; absent keys keep the embedded ledgers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"ledger file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"ledger file {path}: top level must be an object")
+    """Parse a ledger override file; absent keys keep the embedded ledgers.
+
+    A file that cannot be decoded, parsed or checked raises one ValueError,
+    prefixed with the file's path.
+    """
     ledgers = {"triple-1": LEDGER_ONE, "triple-2": LEDGER_TWO}
-    for name, rows in data.items():
-        if name not in ledgers:
-            raise ValueError(f"ledger file {path}: unknown key {name!r}")
-        if not isinstance(rows, list):
-            raise ValueError(f"ledger file {path}: {name} must be a list")
-        entries = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict):
-                raise ValueError(f"ledger file {path}: {name}[{i}] must be an object")
-            try:
-                label = row["label"]
-                a_terms = row["a_value"]
-                c_terms = row["centralizer_order"]
-            except KeyError as exc:
-                raise ValueError(
-                    f"ledger file {path}: {name}[{i}] missing {exc}"
-                ) from exc
-            try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("top level must be an object")
+        for name, rows in data.items():
+            if name not in ledgers:
+                raise ValueError(f"unknown key {name!r}")
+            if not isinstance(rows, list):
+                raise ValueError(f"{name} must be a list")
+            entries = []
+            for i, row in enumerate(rows):
+                if not isinstance(row, dict):
+                    raise ValueError(f"{name}[{i}] must be an object")
+                try:
+                    label = row["label"]
+                    a_terms = row["a_value"]
+                    c_terms = row["centralizer_order"]
+                except KeyError as exc:
+                    raise ValueError(f"{name}[{i}] missing {exc}") from exc
                 entries.append(
                     LedgerEntry(
                         label=str(label),
@@ -344,16 +331,13 @@ def load_ledger_overrides(path: str) -> dict[str, Ledger]:
                         ),
                     )
                 )
-            except ValueError as exc:
-                raise ValueError(f"ledger file {path}: {exc}") from exc
-        try:
             ledgers[name] = Ledger(
                 name=name,
                 entries=tuple(entries),
                 citation=f"override from {path}",
             )
-        except ValueError as exc:
-            raise ValueError(f"ledger file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"ledger file {path}: {exc}") from exc
     return ledgers
 
 

@@ -62,10 +62,10 @@ def _iteration_cap(args) -> int:
 
 def _resolve_selector(T: ClassTable, token: str) -> int:
     if token.startswith("id:"):
-        try:
-            i = int(token[3:])
-        except ValueError:
-            raise ValueError(f"bad class selector {token!r}") from None
+        match = re.fullmatch(r"id:([0-9]+)", token)
+        if match is None:
+            raise ValueError(f"bad class selector {token!r}")
+        i = int(match.group(1))
         if not 0 <= i < T.num_classes:
             raise ValueError(f"class id {i} outside 0..{T.num_classes - 1}")
         return i
@@ -190,7 +190,15 @@ def cmd_count(args):
     return _envelope("count", args, body), EXIT_PASS
 
 
-def _census_body(G, T, census) -> dict:
+def _orbit_body(G, orbit) -> dict:
+    return {
+        "representative": [element_text(G.elements[x]) for x in orbit.representative],
+        "size": orbit.size,
+        "stabilizer-order": orbit.stabilizer_order,
+    }
+
+
+def _census_body(G, census) -> dict:
     return {
         "orders": list(census.orders),
         "per-tuple": [
@@ -199,11 +207,7 @@ def _census_body(G, T, census) -> dict:
         "total": census.total,
         "orbits": [
             {
-                "representative": [
-                    element_text(G.elements[x]) for x in orbit.representative
-                ],
-                "size": orbit.size,
-                "stabilizer-order": orbit.stabilizer_order,
+                **_orbit_body(G, orbit),
                 "subgroup-order": orbit.subgroup_order,
                 "subgroup-fingerprint": orbit.subgroup_fingerprint,
             }
@@ -216,7 +220,7 @@ def cmd_triples(args):
     _, G = _build(args)
     T = conjugacy_classes(G)
     census = abc_census(G, T, args.a, args.b, args.c, cap=_iteration_cap(args))
-    body = {"census": _census_body(G, T, census)}
+    body = {"census": _census_body(G, census)}
     return _envelope("triples", args, body), EXIT_PASS
 
 
@@ -241,12 +245,12 @@ def cmd_rigid(args):
         a, b, c = (int(t) for t in tokens)
         census = abc_census(G, T, a, b, c, cap=cap)
         verdicts = []
-        for ids, decomposition in census.decompositions:
-            verdict = verdict_from_routes(ids, frobenius_count(CT, ids), decomposition)
+        for ids, orbits in census.decompositions:
+            verdict = verdict_from_routes(ids, frobenius_count(CT, ids), orbits)
             verdicts.append({"class-ids": list(ids), **_verdict_body(verdict)})
         body = {
             "mode": "orders",
-            "census": _census_body(G, T, census),
+            "census": _census_body(G, census),
             "per-tuple-verdicts": verdicts,
         }
         return _envelope("rigid", args, body), EXIT_PASS
@@ -258,11 +262,7 @@ def cmd_rigid(args):
     if verdict.kind != "empty":
         body["orbits"] = [
             {
-                "representative": [
-                    element_text(G.elements[x]) for x in orbit.representative
-                ],
-                "size": orbit.size,
-                "stabilizer-order": orbit.stabilizer_order,
+                **_orbit_body(G, orbit),
                 "generated-subgroup-order": len(
                     G.subgroup_generated(orbit.representative[:2])
                 ),

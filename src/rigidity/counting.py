@@ -26,7 +26,9 @@ division by D^s·W^{s−2}·|G| at the end gives the count.
 
 Solution sets are decomposed into orbits under simultaneous conjugation,
 g·(x₁,…,x_s) = (g⁻¹x₁g, …, g⁻¹x_sg); a tuple of classes is rigid when the
-solution set is nonempty and forms a single orbit.
+solution set is nonempty and forms a single orbit.  The orbits partition the
+solutions, so the scan's count is the sum of their sizes, and a census orbit
+carries the fingerprint of the subgroup its first two entries generate.
 """
 
 from __future__ import annotations
@@ -66,12 +68,6 @@ class Orbit:
     representative: tuple[int, ...]
     size: int
     stabilizer_order: int
-
-
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    orbits: tuple[Orbit, ...]
-    total: int
 
 
 @dataclass(frozen=True)
@@ -234,15 +230,15 @@ def enumerate_solutions(
     )
 
 
-def orbit_decomposition(G: FiniteGroup, S: SolutionSet) -> OrbitDecomposition:
+def orbit_decomposition(G: FiniteGroup, S: SolutionSet) -> tuple[Orbit, ...]:
     """Orbits under simultaneous conjugation; representatives are least tuples.
 
     Found as the orbits of C_G(rep₁) on S.reduced; each is the part of one
     G-orbit |C₁| times its size that starts with rep₁, and holds its least
-    tuple.
+    tuple.  They partition S, so their sizes sum to len(S).
     """
     if not S.reduced:
-        return OrbitDecomposition(orbits=(), total=0)
+        return ()
 
     def act(sol, g):
         # g centralizes the first entry
@@ -257,15 +253,13 @@ def orbit_decomposition(G: FiniteGroup, S: SolutionSet) -> OrbitDecomposition:
         orbits.append(
             Orbit(representative=seed, size=size, stabilizer_order=G.order // size)
         )
-    return OrbitDecomposition(orbits=tuple(orbits), total=len(S))
+    return tuple(orbits)
 
 
-def verdict_from_routes(
-    ids, count: int, decomposition: OrbitDecomposition
-) -> RigidityVerdict:
+def verdict_from_routes(ids, count: int, orbits: tuple[Orbit, ...]) -> RigidityVerdict:
     """A tuple's verdict from its character count and its scan orbits."""
-    _check_routes(ids, count, decomposition.total)
-    return RigidityVerdict(count=count, orbits=decomposition.orbits)
+    _check_routes(ids, count, sum(orbit.size for orbit in orbits))
+    return RigidityVerdict(count=count, orbits=orbits)
 
 
 def rigidity_verdict(
@@ -318,37 +312,36 @@ def count_equivalence(
     return r**3, mismatches
 
 
-def generated_subgroup_report(G: FiniteGroup, triple) -> tuple[int, tuple]:
-    """Order and fingerprint of the subgroup generated by the first two entries."""
-    entries = tuple(triple)
-    if len(entries) < 2:
-        raise ValueError("need at least two tuple entries")
-    fingerprint = G.fingerprint(entries[:2])
-    return (fingerprint[0], fingerprint)
-
-
 @dataclass(frozen=True)
 class CensusOrbit:
+    """An orbit with the fingerprint of the subgroup its first two entries generate."""
+
     representative: tuple[int, ...]
     size: int
     stabilizer_order: int
-    subgroup_order: int
     subgroup_fingerprint: tuple
+
+    @property
+    def subgroup_order(self) -> int:
+        return self.subgroup_fingerprint[0]
 
 
 @dataclass(frozen=True)
 class AbcCensus:
     orders: tuple[int, int, int]
-    decompositions: tuple[tuple[tuple[int, int, int], OrbitDecomposition], ...]
+    decompositions: tuple[tuple[tuple[int, int, int], tuple[Orbit, ...]], ...]
     orbits: tuple[CensusOrbit, ...]
 
     @property
     def per_tuple(self) -> tuple[tuple[tuple[int, int, int], int], ...]:
-        return tuple((ids, dec.total) for ids, dec in self.decompositions)
+        return tuple(
+            (ids, sum(orbit.size for orbit in orbits))
+            for ids, orbits in self.decompositions
+        )
 
     @property
     def total(self) -> int:
-        return sum(dec.total for _, dec in self.decompositions)
+        return sum(n for _, n in self.per_tuple)
 
 
 def abc_census(
@@ -369,21 +362,16 @@ def abc_census(
     )
     # conjugation keeps each class tuple, so these are the orbits of the union
     all_orbits = sorted(
-        (orbit for _, dec in decompositions for orbit in dec.orbits),
+        (orbit for _, orbits in decompositions for orbit in orbits),
         key=lambda orbit: orbit.representative,
     )
-    orbits = []
-    for orbit in all_orbits:
-        order, fp = generated_subgroup_report(G, orbit.representative)
-        orbits.append(
-            CensusOrbit(
-                representative=orbit.representative,
-                size=orbit.size,
-                stabilizer_order=orbit.stabilizer_order,
-                subgroup_order=order,
-                subgroup_fingerprint=fp,
-            )
+    orbits = tuple(
+        CensusOrbit(
+            representative=orbit.representative,
+            size=orbit.size,
+            stabilizer_order=orbit.stabilizer_order,
+            subgroup_fingerprint=G.fingerprint(orbit.representative[:2]),
         )
-    return AbcCensus(
-        orders=(a, b, c), decompositions=decompositions, orbits=tuple(orbits)
+        for orbit in all_orbits
     )
+    return AbcCensus(orders=(a, b, c), decompositions=decompositions, orbits=orbits)

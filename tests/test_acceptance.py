@@ -150,8 +150,8 @@ def test_criterion_6_negative_controls():
     v = rigidity_verdict(G, T, CT, (1, 1, 1))
     if (v.kind, v.num_orbits) != ("not-rigid", 2):
         failures.append(f"Alt(4) verdict {v}")
-    dec = orbit_decomposition(G, enumerate_solutions(G, T, (1, 1, 1)))
-    shape = sorted((o.size, o.stabilizer_order) for o in dec.orbits)
+    orbits = orbit_decomposition(G, enumerate_solutions(G, T, (1, 1, 1)))
+    shape = sorted((o.size, o.stabilizer_order) for o in orbits)
     if shape != [(3, 4), (3, 4)]:
         failures.append(f"Alt(4) orbit shape {shape}")
     G, T, CT = charactered("Sym(5)")

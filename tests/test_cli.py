@@ -127,6 +127,18 @@ def test_selector_errors(capsys):
     assert "id:" in err
 
 
+@pytest.mark.parametrize(
+    "token",
+    ["id:1_0", "id: 1", "id:+1", "id:\u0661"],
+    ids=["underscore", "space", "sign", "arabic-indic-digit"],
+)
+def test_id_selectors_take_ascii_digits_only(capsys, token):
+    # int() would read each of these as a class id
+    code, out, err = run(capsys, "count", "Sym(6)", token, "id:1", "id:1")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad class selector {token!r}\n"
+
+
 def test_chartab_structured(capsys):
     data = run_json(capsys, "chartab", "Cyc(3)")
     assert data["degrees"] == [1, 1, 1]
@@ -380,6 +392,58 @@ def test_derived_subgroup_outputs_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("paper-audit", "--format", "structured"),
+            "9381a43464bb754531e833c9732e2fefedd0c7e70c7ca807766ab5af507d4c4c",
+        ),
+        (
+            ("paper-audit", "--format", "text"),
+            "fb55fcfa8055abc9631e4de37852cc5aa263fea1b3215a85e61c4babe927067d",
+        ),
+        (
+            ("rigid", "Sym(5)", "id:1", "id:4", "id:5", "--format", "structured"),
+            "9aa3458ebf16065f59cca3e8b9f5293026e9ca06d0a538109fb6c1f11acfbf16",
+        ),
+        (
+            ("rigid", "Sym(5)", "id:1", "id:4", "id:5", "--format", "text"),
+            "e43676110291310938f57b2a1b2f83a02cfdcc117c7b03049b23609cd6a7dc92",
+        ),
+        (
+            # not rigid, so it reports an orbit count
+            ("rigid", "Alt(4)", "id:1", "id:1", "id:1", "--format", "structured"),
+            "84b817a23eb2c0b120006a790e94db2e21c19cf42653f74bd029acda8900e890",
+        ),
+        (
+            ("triples", "Alt(5)", "2", "5", "5"),
+            "3f00c93e5afe187be450a268de3a4fa3c78a2b20a3793439b64816f2992fe34c",
+        ),
+        (
+            # a census over matrices
+            ("rigid", "Mat(7, 2; [1 1 0 1], [0 6 1 0])", "3", "4", "7"),
+            "8c053fd6708623e82d726fe5995e774bc78e4e6e5cf12129cec20cf076740f63",
+        ),
+    ],
+    ids=[
+        "audit-structured",
+        "audit-text",
+        "rigid-classes-Sym(5)-structured",
+        "rigid-classes-Sym(5)-text",
+        "rigid-classes-Alt(4)-structured",
+        "triples-Alt(5)-text",
+        "rigid-orders-Mat-text",
+    ],
+)
+def test_orbit_report_outputs_are_pinned(capsys, argv, digest):
+    # recorded while the scan's orbits still reached the report through
+    # OrbitDecomposition and generated_subgroup_report
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_rigid_order_mode_needs_three(capsys):
     assert run(capsys, "rigid", "Sym(5)", "2", "4")[0] == 2
 
@@ -516,13 +580,25 @@ def test_audit_ledger_override_matching_values_pass(capsys, tmp_path):
 
 
 def test_audit_ledger_override_errors(capsys, tmp_path):
-    broken = tmp_path / "broken.json"
-    broken.write_text("{not json")
-    assert run(capsys, "paper-audit", "--ledger", str(broken))[0] == 2
-
-    unknown = tmp_path / "unknown.json"
-    unknown.write_text(json.dumps({"triple-9": []}))
-    assert run(capsys, "paper-audit", "--ledger", str(unknown))[0] == 2
+    for content, message in (
+        (b"{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (b"[1, 2]", "top level must be an object"),
+        (b'{"triple-9": []}', "unknown key 'triple-9'"),
+        (b'{"triple-1": 5}', "triple-1 must be a list"),
+        (b'{"triple-1": [3]}', "triple-1[0] must be an object"),
+        (
+            b'{"triple-1": [{"a_value": [], "centralizer_order": []}]}',
+            "triple-1[0] missing 'label'",
+        ),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_bytes(content)
+        assert run(capsys, "paper-audit", "--ledger", str(malformed)) == (
+            2,
+            "",
+            f"error: ledger file {malformed}: {message}\n",
+        )
 
     missing = tmp_path / "absent.json"
     assert run(capsys, "paper-audit", "--ledger", str(missing))[0] == 2

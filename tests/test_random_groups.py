@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rigidity.chartab import character_table, verify_orthogonality
 from rigidity.conjugacy import conjugacy_classes
-from rigidity.counting import count_equivalence
+from rigidity.counting import count_equivalence, rigidity_verdict
 from rigidity.elements import Permutation, PrimeFieldMatrix
 from rigidity.errors import CapExceededError
 from rigidity.groups import closure_enumerate
@@ -55,6 +55,11 @@ def check_tables_and_counts(G, T):
     assert verify_orthogonality(CT) is None
     assert all(G.order % c.size == 0 for c in T.classes)
     assert count_equivalence(G, T, CT)[1] == []
+    # the scan's orbits partition the solutions, and each is an orbit of G
+    for ids in combinations_with_replacement(range(T.num_classes), 3):
+        verdict = rigidity_verdict(G, T, CT, ids)
+        assert sum(orbit.size for orbit in verdict.orbits) == verdict.count
+        assert all(o.size * o.stabilizer_order == G.order for o in verdict.orbits)
 
     # each stored generator's row and the class partition, against element arithmetic
     els, index = G.elements, G.index
