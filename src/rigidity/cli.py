@@ -44,7 +44,8 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-_SELECTOR_RE = re.compile(r"^order(\d+)size(\d+)$")
+# ASCII digits only: \d and int() would also take other Unicode digits
+_SELECTOR_RE = re.compile(r"order([0-9]+)size([0-9]+)")
 
 
 def _build(args):
@@ -69,7 +70,7 @@ def _resolve_selector(T: ClassTable, token: str) -> int:
         if not 0 <= i < T.num_classes:
             raise ValueError(f"class id {i} outside 0..{T.num_classes - 1}")
         return i
-    match = _SELECTOR_RE.match(token)
+    match = _SELECTOR_RE.fullmatch(token)
     if match is None:
         raise ValueError(
             f"bad class selector {token!r}; use id:N or orderNsizeM"
@@ -239,7 +240,7 @@ def cmd_rigid(args):
     CT = character_table(G, T)
     cap = _iteration_cap(args)
     tokens = args.selectors
-    if all(re.fullmatch(r"\d+", t) for t in tokens):
+    if all(re.fullmatch(r"[0-9]+", t) for t in tokens):
         if len(tokens) != 3:
             raise ValueError("order mode takes exactly three element orders")
         a, b, c = (int(t) for t in tokens)

@@ -11,8 +11,13 @@ The public constructors (`Permutation(images)`, `Permutation.identity`,
 input.  Products and inverses of valid elements are valid by construction, so
 they are built unchecked: `object.__new__`, then the slots are set, with no
 `sorted(images)` check and no reduction mod p.  `__mul__` still rejects
-factors of different degree or modulus.  An element hashes as its image
-tuple or its entry rows, so a lookup in a group's index builds no key tuple.
+factors of different degree or modulus.  An element hashes as its images or
+its entry rows, so a lookup in a group's index builds no key tuple.
+
+A permutation of degree at most 256 stores its images as `bytes`: a product
+is one `bytes.translate` call, an inverse one `bytes.maketrans` call, and
+`bytes` caches its hash, so each index lookup after the first hashes nothing.
+Larger degrees store an image tuple.  `encode` is the same for both.
 
 `row_reduce` is the one Gauss–Jordan elimination over F_p: matrix inverses
 here and the eigenspace split in `chartab` both call it.
@@ -29,9 +34,24 @@ from .errors import IncompatibleGeneratorsError, SingularMatrixError
 
 _new = object.__new__
 
+# up to this degree images are bytes; _PAD[d] pads d images to a translate table
+_BYTE_DEGREE = 256
+_PAD = [bytes(_BYTE_DEGREE - d) for d in range(_BYTE_DEGREE + 1)]
+
+
+def _images(ints):
+    """Images in their stored form: bytes up to degree 256, else a tuple."""
+    images = tuple(ints)
+    return bytes(images) if len(images) <= _BYTE_DEGREE else images
+
+
+@lru_cache(maxsize=None)
+def _identity_images(degree: int):
+    return _images(range(degree))
+
 
 class Permutation:
-    """A permutation of {0, ..., degree-1}, stored as its image tuple."""
+    """A permutation of {0, ..., degree-1}, stored as its images (`_images`)."""
 
     __slots__ = ("degree", "images")
 
@@ -41,15 +61,15 @@ class Permutation:
         if sorted(images) != list(range(degree)):
             raise ValueError(f"not a permutation of 0..{degree - 1}: {images!r}")
         self.degree = degree
-        self.images = images
+        self.images = _images(images)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
         return cls(range(degree))
 
     @classmethod
-    def _unchecked(cls, degree: int, images: tuple) -> "Permutation":
-        """A permutation from an image tuple already known to be valid."""
+    def _unchecked(cls, degree: int, images) -> "Permutation":
+        """A permutation from images already valid and in their stored form."""
         result = _new(cls)
         result.degree = degree
         result.images = images
@@ -84,20 +104,34 @@ class Permutation:
             raise IncompatibleGeneratorsError(
                 f"degree mismatch: {self.degree} vs {other.degree}"
             )
-        s = self.images
-        return Permutation._unchecked(self.degree, tuple([s[x] for x in other.images]))
+        degree, s = self.degree, self.images
+        # built inline, as in `_unchecked`: a classmethod call would cost
+        # more than the translate
+        result = _new(Permutation)
+        result.degree = degree
+        if degree <= _BYTE_DEGREE:
+            result.images = other.images.translate(s + _PAD[degree])
+        else:
+            result.images = tuple([s[x] for x in other.images])
+        return result
 
     def inverse(self) -> "Permutation":
-        images = [0] * self.degree
-        for i, x in enumerate(self.images):
-            images[x] = i
-        return Permutation._unchecked(self.degree, tuple(images))
+        degree, s = self.degree, self.images
+        if degree <= _BYTE_DEGREE:
+            # a translate table that maps s[i] to i, cut back to the degree
+            images = bytes.maketrans(s, _identity_images(degree))[:degree]
+        else:
+            inverse = [0] * degree
+            for i, x in enumerate(s):
+                inverse[x] = i
+            images = tuple(inverse)
+        return Permutation._unchecked(degree, images)
 
     def identity_element(self) -> "Permutation":
         return Permutation.identity(self.degree)
 
     def is_identity(self) -> bool:
-        return self.images == tuple(range(self.degree))
+        return self.images == _identity_images(self.degree)
 
     def encode(self) -> bytes:
         """Canonical encoding; lexicographic order matches image-tuple order.

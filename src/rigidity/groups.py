@@ -92,14 +92,17 @@ def orbit_partition(points, gens, act):
     """Yield (least point, orbit) for each orbit in the ascending sequence points.
 
     points must be a union of orbits; a point is marked as seen by its
-    position, found by bisection, so no set of all points is ever built.
+    position, so no set of all points is ever built.  When points is
+    range(n) a point is its own position; otherwise the position is found
+    by bisection.
     """
     seen = bytearray(len(points))
+    dense = points == range(len(points))
     for i, p in enumerate(points):
         if not seen[i]:
             members = orbit(p, gens, act)
             for m in members:
-                seen[bisect_left(points, m)] = 1
+                seen[m if dense else bisect_left(points, m)] = 1
             yield p, members
 
 
@@ -261,12 +264,6 @@ class FiniteGroup:
                 k += 1
             self._orders[i] = k
         return self._orders[i]
-
-    def centralizer(self, i: int) -> set[int]:
-        """Indices of all elements commuting with elements[i]."""
-        self._check_index(i)
-        x = self.elements[i]
-        return {j for j, y in enumerate(self.elements) if x * y == y * x}
 
     def centralizer_generators(self, i: int) -> tuple[int, ...]:
         """Generators of the centralizer of x = elements[i], memoized per element.

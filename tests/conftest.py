@@ -1,6 +1,6 @@
 """Shared test helpers: one group pipeline cache keyed by spec text, the
-commutator-closure reference, the cyclotomic reference sum and tampered
-character tables."""
+brute-force centralizer and commutator-closure references, the cyclotomic
+reference sum and tampered character tables."""
 
 from __future__ import annotations
 
@@ -24,6 +24,13 @@ _PIPELINES = Pipelines()
 group = _PIPELINES.group
 classed = _PIPELINES.classes
 charactered = _PIPELINES.characters
+
+
+def centralizer(G, i: int) -> set[int]:
+    """Indices of all elements commuting with G.elements[i], by |G| products
+    each way: the reference for `FiniteGroup.centralizer_generators`."""
+    x = G.elements[i]
+    return {j for j, y in enumerate(G.elements) if x * y == y * x}
 
 
 def commutator_closure(G) -> set[int]:

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +141,25 @@ def test_id_selectors_take_ascii_digits_only(capsys, token):
     code, out, err = run(capsys, "count", "Sym(6)", token, "id:1", "id:1")
     assert (code, out) == (2, "")
     assert err == f"error: bad class selector {token!r}\n"
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["order\u0662size10", "order2size\u0661\u0660", "order2size10\n"],
+    ids=["arabic-indic-order", "arabic-indic-size", "trailing-newline"],
+)
+def test_order_size_selectors_take_ascii_digits_only(capsys, token):
+    # int() would read each of these as order 2, size 10: a class of Sym(5)
+    code, out, err = run(capsys, "count", "Sym(5)", token, "id:4", "id:5")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad class selector {token!r}; use id:N or orderNsizeM\n"
+
+
+def test_rigid_order_mode_takes_ascii_digits_only(capsys):
+    # int() would read U+0662 as 2 and run the (2, 4, 5) census
+    code, out, err = run(capsys, "rigid", "Sym(5)", "\u0662", "4", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: bad class selector '\u0662'; use id:N or orderNsizeM\n"
 
 
 def test_chartab_structured(capsys):
@@ -442,6 +465,32 @@ def test_orbit_report_outputs_are_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chartab", "Alt(6)"),
+        ("rigid", "Sym(5)", "2", "4", "5"),
+        ("triples", "Alt(5)", "2", "5", "5"),
+    ],
+    ids=["chartab-Alt(6)", "rigid-Sym(5)", "triples-Alt(5)"],
+)
+def test_stdout_is_the_same_under_every_hash_seed(argv):
+    # permutations hash as their image bytes, and a bytes hash is salted per
+    # process, so output that followed the set order of elements would differ
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("0", "1", "2"):
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-m", "rigidity.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_rigid_order_mode_needs_three(capsys):

@@ -52,7 +52,7 @@ def test_group_axioms_sym3():
 def test_from_cycles_right_to_left():
     # (0 1) applied after (1 2): 0 -> 0 -> 1, 1 -> 2, 2 -> 1 -> 0
     p = Permutation.from_cycles(3, [(0, 1), (1, 2)])
-    assert p.images == (1, 2, 0)
+    assert tuple(p.images) == (1, 2, 0)
     assert Permutation.from_cycles(5, [()]).is_identity()
     with pytest.raises(ValueError):
         Permutation.from_cycles(3, [(0, 0)])
@@ -177,19 +177,23 @@ def test_hash_consistency():
 
 
 def test_unchecked_permutation_products_equal_validated_ones():
+    # images are bytes up to degree 256 and a tuple past it
     rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(1, 8)
-        a = Permutation(rng.sample(range(n), n))
-        b = Permutation(rng.sample(range(n), n))
-        for got, images in (
-            (a * b, [a.images[b.images[x]] for x in range(n)]),
-            (a.inverse(), [a.images.index(x) for x in range(n)]),
-        ):
-            want = Permutation(images)
-            assert got == want and hash(got) == hash(want)
-            assert got.images == want.images and got.degree == want.degree == n
-        assert (a * a.inverse()).is_identity()
+    for n in (*range(1, 9), 255, 256, 257):
+        assert type(Permutation.identity(n).images) is (bytes if n <= 256 else tuple)
+        for _ in range(25):
+            a = Permutation(rng.sample(range(n), n))
+            b = Permutation(rng.sample(range(n), n))
+            for got, images in (
+                (a * b, [a.images[b.images[x]] for x in range(n)]),
+                (a.inverse(), [a.images.index(x) for x in range(n)]),
+            ):
+                want = Permutation(images)
+                assert got == want and hash(got) == hash(want)
+                assert list(got.images) == images and got.degree == want.degree == n
+                assert got.encode() == want.encode()
+            assert (a * a.inverse()).is_identity() and (a.inverse() * a).is_identity()
+            assert a.is_identity() == (a == Permutation.identity(n))
 
 
 def test_unchecked_matrix_products_equal_validated_ones():
