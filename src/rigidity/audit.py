@@ -341,12 +341,13 @@ def load_ledger_overrides(path: str) -> dict[str, Ledger]:
     return ledgers
 
 
-def run_audit(
-    sections=None,
-    ledgers: dict[str, Ledger] | None = None,
-    ledger_echo: str | None = None,
-) -> dict:
-    """Run the selected audit sections and assemble the report tree."""
+def run_audit(sections=None, ledger: str | None = None) -> dict:
+    """Run the selected audit sections and assemble the report tree; ledger is
+    the path of an override file for `load_ledger_overrides`, echoed in input."""
+    if ledger is None:
+        ledgers = {"triple-1": LEDGER_ONE, "triple-2": LEDGER_TWO}
+    else:
+        ledgers = load_ledger_overrides(ledger)
     if sections is None:
         selected = list(ALL_SECTIONS)
     else:
@@ -354,8 +355,6 @@ def run_audit(
         bad = [s for s in selected if s not in ALL_SECTIONS]
         if bad:
             raise ValueError(f"unknown audit sections {bad}; valid: 1..6")
-    if ledgers is None:
-        ledgers = {"triple-1": LEDGER_ONE, "triple-2": LEDGER_TWO}
     pipelines = Pipelines()
     runners = {
         1: lambda: _section_census(pipelines),
@@ -385,7 +384,7 @@ def run_audit(
         "input": {
             "command": "paper-audit",
             "sections": selected,
-            "ledger-override": ledger_echo,
+            "ledger-override": ledger,
         },
         "sections": report_sections,
         "overall": "pass" if all_pass else "fail",

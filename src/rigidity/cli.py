@@ -16,7 +16,7 @@ import re
 import sys
 
 from . import __version__
-from .audit import load_ledger_overrides, run_audit
+from .audit import run_audit
 from .chartab import character_table
 from .conjugacy import ClassTable, conjugacy_classes
 from .counting import (
@@ -289,12 +289,7 @@ def cmd_oracle(args):
 
 
 def cmd_paper_audit(args):
-    ledgers = None
-    if args.ledger is not None:
-        ledgers = load_ledger_overrides(args.ledger)
-    report = run_audit(
-        sections=args.sections, ledgers=ledgers, ledger_echo=args.ledger
-    )
+    report = run_audit(sections=args.sections, ledger=args.ledger)
     code = EXIT_PASS if report["overall"] == "pass" else EXIT_CHECK_FAILURE
     return report, code
 

@@ -74,7 +74,7 @@ def conjugacy_classes(G: FiniteGroup) -> ClassTable:
     inverse_class = tuple(
         class_of[G.inverse(c.representative)] for c in classes
     )
-    element_orders = tuple(G.element_order(c.representative) for c in classes)
+    element_orders = tuple(order for order, *_ in keyed)
     return ClassTable(
         group=G,
         classes=tuple(classes),

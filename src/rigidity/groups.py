@@ -30,14 +30,15 @@ representatives and the entries that seed a census fingerprint.  Inverses
 are memoized per element; no whole-group inverse map is built.  Subgroup
 generation and the centralizer transversal use element arithmetic, which
 fills no row.  Centralizer generators are memoized per element; the scan
-asks only for class representatives.
+asks only for class representatives.  Element orders are not memoized.
 
 Every closure in the toolkit (subgroups, conjugacy classes, orbits of solution
 tuples) is one call of `orbit`, or of `orbit_partition` when a whole point set
-is split into orbits.  Every generated subgroup is closed by
-`_greedy_generators`, the derived subgroup from the orbits of the generators'
-commutators under conjugation.  Subgroups are fingerprinted inside their parent
-group, by conjugating the parent's indices by the subgroup's generators.
+is split into orbits.  Every generated subgroup is closed on indices by
+`FiniteGroup._greedy_generators`, the derived subgroup from the orbits of the
+generators' commutators under conjugation.  Subgroups are fingerprinted inside
+their parent group, by conjugating the parent's indices by the subgroup's
+generators, with one element order per class.
 
 The named constructors (symmetric, alternating, cyclic, dihedral, orthogonal)
 check their known order against the cap before enumerating anything, so a
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from operator import mul
 
 from .elements import GroupElement, Permutation, PrimeFieldMatrix
 from .errors import (
@@ -75,19 +75,6 @@ def orbit(seed, gens, act) -> set:
     return members
 
 
-def _greedy_generators(elements, identity) -> tuple[list, set]:
-    """(kept, generated): walk elements in order, keeping each one not yet
-    generated by the ones kept so far, at one `orbit` per element kept.  The
-    walk is deterministic, so equal inputs give equal choices."""
-    kept: list = []
-    covered = {identity}
-    for x in elements:
-        if x not in covered:
-            kept.append(x)
-            covered = orbit(identity, kept, mul)
-    return kept, covered
-
-
 def orbit_partition(points, gens, act):
     """Yield (least point, orbit) for each orbit in the ascending sequence points.
 
@@ -110,14 +97,14 @@ class FiniteGroup:
     """A fully enumerated finite group; element 0 is the identity."""
 
     def __init__(self, elements: list, generator_indices, index=None, right_rows=None):
-        """index, when given, maps each element to its position.  right_rows,
-        when given, holds one row per stored generator g, in the order of
-        generator_indices, of the indices of x·g over all x, as a
-        breadth-first enumeration found them.
+        """elements is kept as given, not copied.  index, when given, maps
+        each element to its position.  right_rows, when given, holds one row
+        per stored generator g, in the order of generator_indices, of the
+        indices of x·g over all x, as a breadth-first enumeration found them.
 
         Two memos grow on demand, each one row of |G| ints: products by left
         factor (`mult`) and conjugations by conjugator (`conjugate`)."""
-        self.elements: list[GroupElement] = list(elements)
+        self.elements: list[GroupElement] = elements
         if index is None:
             index = {g: i for i, g in enumerate(self.elements)}
             if len(index) != len(self.elements):
@@ -128,26 +115,26 @@ class FiniteGroup:
         self._rows: list[list[int] | None] = [None] * len(self.elements)
         self._conjugates: dict[int, list[int]] = {}
         self._inverses: dict[int, int] = {}
-        self._orders: list[int] = [0] * len(self.elements)
         self._centralizers: dict[int, tuple[int, ...]] = {}
 
     @classmethod
     def from_closed_elements(cls, elements: list) -> "FiniteGroup":
         """Wrap an already-closed element list (identity first) as a group.
 
-        The generating set is chosen by `_greedy_generators` in list order.
+        The generating set is chosen by `_greedy_generators` over indices
+        1..n-1; the list is closed unless a product it forms is not in it.
         """
         elements = list(elements)
         if not elements:
             raise ValueError("empty element list")
-        identity = elements[0].identity_element()
-        if elements[0] != identity:
+        if not elements[0].is_identity():
             raise ValueError("element 0 must be the identity")
-        gens, covered = _greedy_generators(elements[1:], identity)
-        if covered != set(elements):
-            raise ValueError("element list is not closed under multiplication")
         group = cls(elements, [])
-        group.generator_indices = tuple(group.index[g] for g in gens)
+        try:
+            gens, _ = group._greedy_generators(range(1, len(elements)))
+        except KeyError:
+            raise ValueError("element list is not closed under multiplication") from None
+        group.generator_indices = tuple(gens)
         return group
 
     @property
@@ -253,17 +240,27 @@ class FiniteGroup:
         return k
 
     def element_order(self, i: int) -> int:
-        """Least k ≥ 1 with elements[i]^k = identity."""
+        """Least k ≥ 1 with elements[i]^k = identity, by repeated products."""
         self._check_index(i)
-        if self._orders[i] == 0:
-            x = self.elements[i]
-            power = x
-            k = 1
-            while not power.is_identity():
-                power = power * x
-                k += 1
-            self._orders[i] = k
-        return self._orders[i]
+        x = self.elements[i]
+        power, k = x, 1
+        while not power.is_identity():
+            power, k = power * x, k + 1
+        return k
+
+    def _greedy_generators(self, seed) -> tuple[list[int], set[int]]:
+        """(kept, generated): walk the seed indices in order, keeping each one
+        not yet generated by those kept so far, at one `orbit` of index 0 per
+        index kept.  The walk is deterministic, so equal inputs give equal
+        choices.  A product outside the element list raises KeyError."""
+        elements, index = self.elements, self.index
+        kept: list[int] = []
+        covered = {0}
+        for x in seed:
+            if x not in covered:
+                kept.append(x)
+                covered = orbit(0, kept, lambda y, g: index[elements[y] * elements[g]])
+        return kept, covered
 
     def centralizer_generators(self, i: int) -> tuple[int, ...]:
         """Generators of the centralizer of x = elements[i], memoized per element.
@@ -272,8 +269,8 @@ class FiniteGroup:
         stored generators, keeping for each member y an element u_y with
         u_y⁻¹·x·u_y = y.  Each step y → y^g that the walk does not take
         gives u_y·g·u_{y^g}⁻¹, which centralizes x, and these generate the
-        centralizer.  Of them, `_greedy_generators` keeps a few in index
-        order, so the choice is deterministic.
+        centralizer.  Of their indices, `_greedy_generators` keeps a few in
+        ascending order, so the choice is deterministic.
         """
         gens = self._centralizers.get(i)
         if gens is None:
@@ -291,21 +288,17 @@ class FiniteGroup:
                         queue.append(z)
                     else:
                         schreier.add(index[ug * transversal[z].inverse()])
-            kept, _ = _greedy_generators(
-                [elements[j] for j in sorted(schreier)], elements[0]
-            )
-            gens = self._centralizers[i] = tuple(index[g] for g in kept)
+            kept, _ = self._greedy_generators(sorted(schreier))
+            gens = self._centralizers[i] = tuple(kept)
         return gens
 
     def subgroup_generated(self, seed) -> set[int]:
-        """Index set of the subgroup generated by the seed indices, closed by
-        `_greedy_generators` in index order: one closure per seed it keeps."""
+        """Index set of the subgroup generated by the seed indices, closed on
+        indices by `_greedy_generators`: one closure per seed index it keeps."""
         seed = sorted(set(seed))
         for s in seed:
             self._check_index(s)
-        elements = self.elements
-        _, covered = _greedy_generators([elements[s] for s in seed], elements[0])
-        return {self.index[x] for x in covered}
+        return self._greedy_generators(seed)[1]
 
     def derived_subgroup(self) -> set[int]:
         """Index set of the commutator subgroup: the subgroup generated by the
@@ -336,16 +329,19 @@ class FiniteGroup:
 
         Describes the subgroup generated by the seed indices, or the whole
         group when seed is None.  Its classes are found inside this group, as
-        orbits under conjugation by the seed (or by the stored generators).
+        orbits under conjugation by the seed (or by the stored generators);
+        element order is a class function, so it is taken once per class.
         """
         if seed is None:
             gens, members = self.generator_indices, range(self.order)
         else:
             gens = sorted(set(seed))
             members = sorted(self.subgroup_generated(gens))
-        sizes = sorted(len(c) for _, c in orbit_partition(members, gens, self.conjugate))
-        profile = Counter(self.element_order(i) for i in members)
-        return (len(members), tuple(sizes), tuple(sorted(profile.items())))
+        sizes, profile = [], Counter()
+        for least, c in orbit_partition(members, gens, self.conjugate):
+            sizes.append(len(c))
+            profile[self.element_order(least)] += len(c)
+        return (len(members), tuple(sorted(sizes)), tuple(sorted(profile.items())))
 
     def __repr__(self):
         kind = type(self.elements[0]).__name__

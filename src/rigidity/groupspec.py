@@ -9,8 +9,9 @@ Accepted forms:
 Perm generators are comma-separated; each generator is one or more
 parenthesized cycles of 0-based points (juxtaposed cycles multiply, applied
 right to left).  Mat generators are comma-separated bracketed row-major entry
-lists.  All integers are nonnegative decimals; whitespace is free between
-tokens.  Errors carry a 0-based character position.
+lists.  All integers are nonnegative decimals in the ASCII digits 0-9 only
+(`str.isdigit` would also take other scripts' digits and superscripts);
+whitespace is free between tokens.  Errors carry a 0-based character position.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class _Cursor:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
@@ -115,7 +116,7 @@ def _parse_cycle(cur: _Cursor) -> tuple[int, ...]:
         if cur.peek() == ")":
             cur.pos += 1
             return tuple(points)
-        if not cur.peek().isdigit():
+        if not "0" <= cur.peek() <= "9":
             raise cur.error("expected a point or ')'")
         points.append(cur.integer())
 
@@ -148,7 +149,7 @@ def _parse_matrix(cur: _Cursor) -> tuple[int, ...]:
             if not entries:
                 raise cur.error("empty matrix")
             return tuple(entries)
-        if not cur.peek().isdigit():
+        if not "0" <= cur.peek() <= "9":
             raise cur.error("expected an entry or ']'")
         entries.append(cur.integer())
 

@@ -1,6 +1,6 @@
 """Shared test helpers: one group pipeline cache keyed by spec text, the
-brute-force centralizer and commutator-closure references, the cyclotomic
-reference sum and tampered character tables."""
+brute-force centralizer, commutator-closure and fingerprint references, the
+cyclotomic reference sum and tampered character tables."""
 
 from __future__ import annotations
 
@@ -37,11 +37,37 @@ def commutator_closure(G) -> set[int]:
     """Indices of the subgroup generated by every commutator a⁻¹b⁻¹ab of G.
 
     Brute force by element arithmetic, with all the commutators as generators
-    of one `orbit` call: no conjugation row and no `_greedy_generators`.
+    of one `orbit` call: no conjugation row and no greedy choice of generators.
     """
     inverses = [(a.inverse(), a) for a in G.elements]
     commutators = {ai * bi * a * b for ai, a in inverses for bi, b in inverses}
     return {G.index[x] for x in orbit(G.elements[0], commutators, mul)}
+
+
+def fingerprint_reference(G, seed) -> tuple:
+    """`FiniteGroup.fingerprint(seed)` by brute force on element objects.
+
+    The subgroup H is one `orbit` of the identity under the seed elements;
+    each class is a member not yet classed conjugated by every member of H;
+    each order is found by naive powers.  No index, row or class sweep of G
+    is used.
+    """
+    elements = G.elements
+    members = orbit(elements[0], [elements[i] for i in set(seed)], mul)
+    inverses = [(h.inverse(), h) for h in members]
+    sizes, classed = [], set()
+    for x in members:
+        if x not in classed:
+            conjugates = {hi * x * h for hi, h in inverses}
+            classed |= conjugates
+            sizes.append(len(conjugates))
+    profile: dict[int, int] = {}
+    for x in members:
+        k, power = 1, x
+        while not power.is_identity():
+            k, power = k + 1, power * x
+        profile[k] = profile.get(k, 0) + 1
+    return (len(members), tuple(sorted(sizes)), tuple(sorted(profile.items())))
 
 
 def cyclotomic_sum(terms) -> Cyclotomic:

@@ -468,6 +468,49 @@ def test_orbit_report_outputs_are_pinned(capsys, argv, digest):
 
 
 @pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            # prints the generators chosen by the greedy walk over a closed list
+            ("order", "SO3(7)"),
+            "4fc94ea93508c4084a5afc7e1d7978a2ee3ee5e11cbc02d65c245ee41a0bc22a",
+        ),
+        (
+            # census fingerprints inside a group wrapped from its element list
+            ("triples", "SO3(5)", "2", "4", "5", "--format", "structured"),
+            "3673b6ee28af911f939486fcf1d5422f17833fd31dbed4c7b0f64b9aaabfd16b",
+        ),
+        (
+            ("rigid", "Sym(6)", "2", "4", "5", "--format", "structured"),
+            "aa68ab67b8ebed241382513795f1ec741416f82e03add7250c605dca156097b1",
+        ),
+        (
+            # empty by parity, so it reports no orbit
+            ("rigid", "Sym(6)", "id:2", "id:4", "id:5", "--format", "structured"),
+            "f7b095ceeafb708742e205bd3e56b629d32fafe9d9effdd81aedd403b5313894",
+        ),
+        (
+            # reports generated-subgroup-order (120)
+            ("rigid", "Sym(6)", "id:1", "id:7", "id:8", "--format", "structured"),
+            "afd421deaf40e3bc37c1b4e804671de108f288b563931fe58ea87d13b85551a2",
+        ),
+    ],
+    ids=[
+        "order-SO3(7)",
+        "triples-SO3(5)-structured",
+        "rigid-orders-Sym(6)-structured",
+        "rigid-classes-Sym(6)-empty",
+        "rigid-classes-Sym(6)-structured",
+    ],
+)
+def test_subgroup_closure_outputs_are_pinned(capsys, argv, digest):
+    # recorded while subgroups were still closed on element objects
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("chartab", "Alt(6)"),

@@ -252,12 +252,14 @@ def test_from_closed_elements_roundtrip():
 
 def test_from_closed_elements_rejects_bad_input():
     G = group("Sym(3)")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not closed under multiplication"):
         FiniteGroup.from_closed_elements(list(G.elements)[:-1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="element 0 must be the identity"):
         FiniteGroup.from_closed_elements(list(G.elements)[1:])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty element list"):
         FiniteGroup.from_closed_elements([])
+    with pytest.raises(ValueError, match="duplicate elements in group table"):
+        FiniteGroup.from_closed_elements(list(G.elements) + [G.elements[1]])
 
 
 def test_subgroup_generated_satisfies_lagrange():

@@ -73,6 +73,35 @@ def test_error_positions():
     assert info.value.position == 8
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("Sym(\u0665)", "expected an integer (at position 4)"),
+        ("Sym(1\u0665)", "expected ')' (at position 5)"),
+        ("Sym(\u00b2)", "expected an integer (at position 4)"),
+        ("Perm(\u0663; (0 1))", "expected an integer (at position 5)"),
+        ("Perm(3; (0 \u0661))", "expected a point or ')' (at position 11)"),
+        ("Mat(5, 1; [\u0662])", "expected an entry or ']' (at position 11)"),
+        ("Mat(5, 1; [2], [\u00b3])", "expected an entry or ']' (at position 16)"),
+    ],
+    ids=[
+        "arabic-indic-degree",
+        "arabic-indic-second-digit",
+        "superscript-degree",
+        "arabic-indic-perm-degree",
+        "arabic-indic-point",
+        "arabic-indic-entry",
+        "superscript-entry",
+    ],
+)
+def test_integers_take_ascii_digits_only(text, message):
+    # str.isdigit also accepts these; int() reads U+0665 as 5 and rejects U+00B2
+    # without a position
+    with pytest.raises(GroupSpecError) as info:
+        parse_group_spec(text)
+    assert str(info.value) == message
+
+
 def test_malformed_specs():
     for text in (
         "",

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement, product
 from math import factorial
 
 import pytest
-from conftest import commutator_closure
+from conftest import commutator_closure, fingerprint_reference
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
@@ -56,10 +56,17 @@ def check_tables_and_counts(G, T):
     assert all(G.order % c.size == 0 for c in T.classes)
     assert count_equivalence(G, T, CT)[1] == []
     # the scan's orbits partition the solutions, and each is an orbit of G
+    seeds = set()
     for ids in combinations_with_replacement(range(T.num_classes), 3):
         verdict = rigidity_verdict(G, T, CT, ids)
         assert sum(orbit.size for orbit in verdict.orbits) == verdict.count
         assert all(o.size * o.stabilizer_order == G.order for o in verdict.orbits)
+        seeds.update(o.representative[:2] for o in verdict.orbits)
+
+    # the census fingerprints, against brute force on element objects; the
+    # identity triple always has one orbit, so seeds is never empty
+    for seed in sorted(seeds):
+        assert G.fingerprint(seed) == fingerprint_reference(G, seed)
 
     # each stored generator's row and the class partition, against element arithmetic
     els, index = G.elements, G.index
