@@ -298,8 +298,8 @@ def _poly_from_terms(terms, where: str) -> QPolynomial:
 def load_ledger_overrides(path: str) -> dict[str, Ledger]:
     """Parse a ledger override file; absent keys keep the embedded ledgers.
 
-    A file that cannot be decoded, parsed or checked raises one ValueError,
-    prefixed with the file's path.
+    A file that cannot be opened, decoded, parsed or checked raises one
+    ValueError, prefixed with the file's path.
     """
     ledgers = {"triple-1": LEDGER_ONE, "triple-2": LEDGER_TWO}
     try:
@@ -336,7 +336,7 @@ def load_ledger_overrides(path: str) -> dict[str, Ledger]:
                 entries=tuple(entries),
                 citation=f"override from {path}",
             )
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"ledger file {path}: {exc}") from exc
     return ledgers
 

@@ -169,6 +169,13 @@ class CharacterTable:
         columns = tuple(vectors[k * h : (k + 1) * h] for k in range(self.num_classes))
         return e, D, columns
 
+    @cached_property
+    def character_sums(self) -> dict:
+        """Memo of `counting._character_sum`, keyed by (sorted class ids, power).
+
+        Empty on every new table, `dataclasses.replace` included."""
+        return {}
+
 
 def _kernel_mod(matrix, p):
     """Deterministic kernel basis of a square matrix over F_p."""

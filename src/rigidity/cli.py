@@ -371,7 +371,7 @@ _COMMANDS = {
 }
 
 # every typed input error (GroupSpecError, SingularMatrixError, ...) is a ValueError
-_INPUT_ERRORS = (ValueError, IndexError, OSError)
+_INPUT_ERRORS = (ValueError, IndexError)
 
 
 def main(argv=None) -> int:

@@ -22,7 +22,12 @@ as D times its integer coordinates in the power basis at one conductor e per
 table (`CharacterTable.integer_columns`, e the lcm of the value conductors,
 D a common denominator), products are reduced mod Φ_e, each row is weighted
 by the integer (W/χ(1))^{s−2} with W the lcm of the degrees, and one exact
-division by D^s·W^{s−2}·|G| at the end gives the count.
+integer division by D^s·W^{s−2}·|G| at the end gives the count.  The sum is
+memoized per table under the sorted class ids (`CharacterTable.character_sums`):
+the product of integer vectors mod Φ_e is commutative, so every ordering of
+a multiset of classes has the same sum, and `count_equivalence` computes one
+sum per multiset where it asks for two per ordered triple.  The scan never
+reads the memo.
 
 Solution sets are decomposed into orbits under simultaneous conjugation,
 g·(x₁,…,x_s) = (g⁻¹x₁g, …, g⁻¹x_sg); a tuple of classes is rigid when the
@@ -120,21 +125,29 @@ def _character_sum(CT: CharacterTable, ids, power: int) -> tuple[tuple[int, ...]
 
     total = Σ_χ ∏_i D·χ(g_i) · (W/χ(1))^power is an integer vector at the
     table's conductor e, with W the lcm of the degrees, and scale = D^s·W^power.
+    Memoized in CT.character_sums under the sorted ids: the product mod Φ_e
+    is commutative, so the sum depends only on the multiset of classes.
     """
+    key = (tuple(sorted(ids)), power)
+    found = CT.character_sums.get(key)
+    if found is not None:
+        return found
     e, D, columns = CT.integer_columns
     degrees = [row.degree for row in CT.rows]
     W = lcm(*degrees)
     total = [0] * euler_phi(e)
+    first, *rest = key[0]
     for row, degree in enumerate(degrees):
-        term = columns[ids[0]][row]
-        for i in ids[1:]:
+        term = columns[first][row]
+        for i in rest:
             if not any(term):
                 break
             term = multiply_mod(term, columns[i][row], e)
         weight = (W // degree) ** power
         for k, c in enumerate(term):
             total[k] += weight * c
-    return tuple(total), D ** len(ids) * W**power
+    found = CT.character_sums[key] = (tuple(total), D ** len(ids) * W**power)
+    return found
 
 
 def frobenius_count(CT: CharacterTable, class_ids) -> int:
@@ -147,12 +160,14 @@ def frobenius_count(CT: CharacterTable, class_ids) -> int:
     # the power basis starts with 1, so the sum is rational when the rest is 0
     if any(total[1:]):
         raise NonIntegerResultError(f"character sum is irrational for tuple {ids}")
-    value = Fraction(total[0] * sizes_product, scale * CT.group_order)
-    if value.denominator != 1 or value < 0:
+    numerator, denominator = total[0] * sizes_product, scale * CT.group_order
+    value, remainder = divmod(numerator, denominator)
+    if remainder or value < 0:
         raise NonIntegerResultError(
-            f"character sum gives non-integer {value} for tuple {ids}"
+            f"character sum gives non-integer {Fraction(numerator, denominator)} "
+            f"for tuple {ids}"
         )
-    return int(value)
+    return value
 
 
 def class_algebra_constant(CT: CharacterTable, x: int, y: int, z: int) -> int:
@@ -162,19 +177,23 @@ def class_algebra_constant(CT: CharacterTable, x: int, y: int, z: int) -> int:
     _character_sum(CT, (x, y, z), 1) that frobenius_count uses, so the
     identity frobenius_count(x, y, z) = |C_z| · a_{xyz} holds by construction.
     Checking it in count_equivalence catches only a non-integer a_{xyz}
-    (raised here) or CT.class_sizes[z] != T.classes[z].size.
+    (raised here) or CT.class_sizes[z] != T.classes[z].size.  The sum comes
+    from the table's memo under the sorted ids, exact because the product
+    mod Φ_e is commutative; the division and its check are this function's
+    own, so a_{xyz} is never derived from the count.
     """
     _check_ids((x, y, z), CT.num_classes)
     total, scale = _character_sum(CT, (x, y, z), 1)
     if any(total[1:]):
         raise NonIntegerResultError(f"irrational constant for ({x}, {y}, {z})")
     sizes_product = CT.class_sizes[x] * CT.class_sizes[y]
-    value = Fraction(total[0] * sizes_product, scale * CT.group_order)
-    if value.denominator != 1 or value < 0:
+    numerator, denominator = total[0] * sizes_product, scale * CT.group_order
+    value, remainder = divmod(numerator, denominator)
+    if remainder or value < 0:
         raise NonIntegerResultError(
-            f"non-integer constant {value} for ({x}, {y}, {z})"
+            f"non-integer constant {Fraction(numerator, denominator)} for ({x}, {y}, {z})"
         )
-    return int(value)
+    return value
 
 
 def enumerate_solutions(

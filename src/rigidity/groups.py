@@ -197,10 +197,12 @@ class FiniteGroup:
                 # L_{g⁻¹} in enumeration order: R_h[x] is new exactly when it
                 # is the next index, and then L[R_h[x]] = R_h[L[x]]
                 row = [self.inverse(g)]
+                new = 1
                 for x, left in enumerate(row):
                     for right in rights:
-                        if right[x] == len(row):
+                        if right[x] == new:
                             row.append(right[left])
+                            new += 1
                 # C_g = R_g ∘ L_{g⁻¹}, written over L
                 right = rights[self.generator_indices.index(g)]
                 for x, y in enumerate(row):

@@ -692,8 +692,17 @@ def test_audit_ledger_override_errors(capsys, tmp_path):
             f"error: ledger file {malformed}: {message}\n",
         )
 
+    # a file that cannot be opened gets the same prefix
     missing = tmp_path / "absent.json"
-    assert run(capsys, "paper-audit", "--ledger", str(missing))[0] == 2
+    for path, message in (
+        (missing, f"[Errno 2] No such file or directory: '{missing}'"),
+        (tmp_path, f"[Errno 21] Is a directory: '{tmp_path}'"),
+    ):
+        assert run(capsys, "paper-audit", "--ledger", str(path)) == (
+            2,
+            "",
+            f"error: ledger file {path}: {message}\n",
+        )
 
     # a ledger equal to the embedded one except for the terms below
     for u3_centralizer, u5_terms, message in (

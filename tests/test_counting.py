@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import prod
 
 import pytest
@@ -207,6 +208,48 @@ def test_tampered_tables_match_the_reference():
                 assert any(kind == "error" for kind, _ in outcomes)
 
 
+def test_memoized_sums_equal_sums_on_a_fresh_table():
+    # every ordered triple on one table, against a fresh table (empty memo) per call
+    for name in ("Sym(4)", SL23, "Alt(5)"):
+        _, T, CT = charactered(name)
+        for table in (replace(CT), tampered(CT, zeta(5)), tampered(CT, Fraction(1, 2))):
+            for ids in product(range(T.num_classes), repeat=3):
+                assert _outcome(frobenius_count, table, ids) == _outcome(
+                    frobenius_count, replace(table), ids
+                ), (name, ids)
+                assert _outcome(class_algebra_constant, table, *ids) == _outcome(
+                    class_algebra_constant, replace(table), *ids
+                ), (name, ids)
+            multisets = combinations_with_replacement(range(T.num_classes), 3)
+            assert set(table.character_sums) == {(ids, 1) for ids in multisets}
+    # a negative whole value is an error too, printed in lowest terms (D = 2 here)
+    _, _, CT = charactered("Alt(5)")
+    assert _outcome(frobenius_count, tampered(CT, Fraction(1, 2)), (4, 2, 0)) == (
+        "error",
+        "character sum gives non-integer -2 for tuple (4, 2, 0)",
+    )
+
+
+class _StoreOnceMemo(dict):
+    """A character-sum memo that counts its stores and refuses a second store of a key."""
+
+    stores = 0
+
+    def __setitem__(self, key, value):
+        assert key not in self, key
+        self.stores += 1
+        super().__setitem__(key, value)
+
+
+def test_count_equivalence_computes_one_sum_per_multiset():
+    for name, multisets in (("Alt(5)", 35), ("Sym(5)", 84)):
+        G, T, CT = charactered(name)
+        table = replace(CT)
+        memo = table.__dict__["character_sums"] = _StoreOnceMemo()
+        assert count_equivalence(G, T, table) == (T.num_classes**3, [])
+        assert memo.stores == multisets
+
+
 # Sym(6) relabelled, so that its element indices and class representatives
 # differ from those of the built-in Sym(6)
 SYM6_RELABELLED = "Perm(6; (0 2), (0 2 3 5 4 1))"
@@ -302,15 +345,16 @@ def test_orbits_are_closed_and_representatives_least():
 
 
 def test_count_is_rotation_and_reversal_invariant():
+    # each count on a fresh table, so the arithmetic is compared, not a memo hit
     _, T, CT = charactered("Sym(4)")
     r = T.num_classes
     for x in range(r):
         for y in range(r):
             for z in range(r):
-                n = frobenius_count(CT, (x, y, z))
-                assert n == frobenius_count(CT, (y, z, x))
+                n = frobenius_count(replace(CT), (x, y, z))
+                assert n == frobenius_count(replace(CT), (y, z, x))
                 assert n == frobenius_count(
-                    CT,
+                    replace(CT),
                     (T.inverse_class[z], T.inverse_class[y], T.inverse_class[x]),
                 )
 
