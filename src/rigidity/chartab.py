@@ -9,7 +9,7 @@ simultaneous right eigenvector of all structure-constant matrices:
 1. count only the rows of the integer matrix A_j that the split reads, each
    once per table: with y_i the representative of C_i, row i is
    a_{jik} = |C_i|·#{x ∈ C_j : x·y_i ∈ C_k}/|C_k|, from |C_j| products and
-   no inverses.  A retry at the next prime reduces the same rows mod its own p;
+   no inverses;
 2. pick a prime p ≡ 1 (mod exponent) with p > 2√|G|.  Such p cannot divide
    |G|: a prime divisor q of |G| divides the exponent (Cauchy), forcing
    p ≡ 1 (mod q), so the class algebra over F_p is semisimple and F_p holds
@@ -32,9 +32,13 @@ simultaneous right eigenvector of all structure-constant matrices:
 
 The root η is derived from the least primitive e-th root λ mod p, so output
 is reproducible; a different λ would relabel the table by a global Galois
-automorphism, which every consumer here is invariant under.  Any internal
-inconsistency raises SplitFailure and the next admissible prime is tried, at
-most three retries.
+automorphism, which every consumer here is invariant under.
+
+One prime suffices: p ∤ |G| and F_p holds the e-th roots of unity, so F_p is
+a splitting field and Z(F_pG) ≅ F_p^r.  The joint eigenspaces are lines with
+value 1 at the identity class, d ≤ √|G| < p/2 fixes each degree, and each root
+multiplicity lies in [0, d].  Every SplitFailure therefore signals a fault in
+the input, and it ends the call with its own text.
 
 Pivot rows cannot see an image that leaves its space, so a wrong row could
 yield a consistent but wrong table.  Before it returns, `character_table`
@@ -62,33 +66,6 @@ from .errors import SplitFailureError, VerificationError
 from .groups import FiniteGroup, _is_prime
 
 
-@dataclass(frozen=True)
-class ClassMatrix:
-    """Structure constants a_{jik} for one fixed class j; entries[i][k]."""
-
-    j: int
-    entries: tuple[tuple[int, ...], ...]
-
-
-def class_matrices(T: ClassTable, G: FiniteGroup, ids=None) -> list[ClassMatrix]:
-    """Count the structure-constant matrices of the classes ids (default all) exactly.
-
-    The whole-matrix reference for `class_matrix_row`; the split reads rows only."""
-    r = len(T.classes)
-    reps = [G.elements[c.representative] for c in T.classes]
-    out = []
-    for j in range(r) if ids is None else ids:
-        c = T.classes[j]
-        entries = [[0] * r for _ in range(r)]
-        for x in c.members:
-            # xy = z  ⟺  y = x⁻¹z; tally the class y lands in
-            xi = G.elements[G.inverse(x)]
-            for k, z in enumerate(reps):
-                entries[T.class_of[G.index[xi * z]]][k] += 1
-        out.append(ClassMatrix(j=c.id, entries=tuple(tuple(row) for row in entries)))
-    return out
-
-
 def class_matrix_row(T: ClassTable, G: FiniteGroup, j: int, i: int) -> tuple[int, ...]:
     """Row i of A_j from |C_j| products: a_{jik} = |C_i|·#{x ∈ C_j : x·y_i ∈ C_k}/|C_k|.
 
@@ -113,22 +90,16 @@ def class_matrix_row(T: ClassTable, G: FiniteGroup, j: int, i: int) -> tuple[int
     return tuple(row)
 
 
-def _admissible_primes(exponent: int, group_order: int):
-    """Primes ≡ 1 mod exponent with p > 2√(group_order), ascending."""
-    four_n = 4 * group_order
-    candidate = 2 if exponent == 1 else exponent + 1
-    for _ in range(1_000_000):
-        if candidate > 1 and _is_prime(candidate) and candidate * candidate > four_n:
-            yield candidate
-        candidate += exponent if exponent > 1 else 1
-    raise SplitFailureError("prime search exhausted its iteration bound")
-
-
 def dixon_prime(exponent: int, group_order: int) -> int:
-    """Least admissible working prime for the splitting step."""
+    """Least prime p ≡ 1 (mod exponent) with p > 2√(group_order): the working prime."""
     if exponent < 1:
         raise ValueError(f"exponent must be ≥ 1, got {exponent}")
-    return next(_admissible_primes(exponent, group_order))
+    candidate = exponent + 1
+    for _ in range(1_000_000):
+        if _is_prime(candidate) and candidate * candidate > 4 * group_order:
+            return candidate
+        candidate += exponent
+    raise SplitFailureError("prime search exhausted its iteration bound")
 
 
 @dataclass(frozen=True)
@@ -290,24 +261,23 @@ def _split_space(space, rows, p):
 
 def _least_primitive_root(p: int, e: int) -> int:
     """Least λ in [1, p) of multiplicative order exactly e mod p."""
-    if e == 1:
-        return 1
     divisors = _prime_factors(e)
-    for lam in range(2, p):
+    for lam in range(1, p):
         if pow(lam, e, p) == 1 and all(pow(lam, e // q, p) != 1 for q in divisors):
             return lam
     raise SplitFailureError(f"no primitive {e}-th root mod {p}")
 
 
-def _attempt(G: FiniteGroup, T: ClassTable, class_row, p: int, e: int) -> CharacterTable:
-    """One split and lift at p; class_row(j, i) gives row i of the integer A_j."""
+def _attempt(G: FiniteGroup, T: ClassTable, p: int, e: int) -> CharacterTable:
+    """The split and lift at p; the first inconsistency raises SplitFailure."""
     r = len(T.classes)
     spaces = [([[1 if i == k else 0 for i in range(r)] for k in range(r)], list(range(r)))]
     for j in range(1, r):
-        needed = [i for basis, pivots in spaces if len(basis) > 1 for i in pivots]
+        # two spaces may share a pivot column; each row is counted once
+        needed = dict.fromkeys(i for basis, pivots in spaces if len(basis) > 1 for i in pivots)
         if not needed:
             break
-        rows = {i: [x % p for x in class_row(j, i)] for i in needed}
+        rows = {i: [x % p for x in class_matrix_row(T, G, j, i)] for i in needed}
         spaces = [
             piece
             for space in spaces
@@ -386,33 +356,16 @@ def _attempt(G: FiniteGroup, T: ClassTable, class_row, p: int, e: int) -> Charac
 
 
 def character_table(G: FiniteGroup, T: ClassTable) -> CharacterTable:
-    """Exact character table; retries with the next prime on a failed split.
+    """Exact character table from one split and lift at the Dixon prime.
 
-    Each class-matrix row is counted the first time a split reads it and
-    kept for the retries of this call.  The table is returned only if both
-    orthogonality relations hold exactly; otherwise VerificationError."""
+    A failed split raises its own SplitFailure; the table is returned only if
+    both orthogonality relations hold exactly, otherwise VerificationError."""
     exponent = lcm(*T.element_order_of_class)
-    built: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def class_row(j: int, i: int) -> tuple[int, ...]:
-        if (j, i) not in built:
-            built[j, i] = class_matrix_row(T, G, j, i)
-        return built[j, i]
-
-    primes = _admissible_primes(exponent, G.order)
-    failure: SplitFailureError | None = None
-    for _ in range(4):
-        p = next(primes)
-        try:
-            table = _attempt(G, T, class_row, p, exponent)
-        except SplitFailureError as exc:
-            failure = exc
-            continue
-        violation = verify_orthogonality(table)
-        if violation is not None:
-            raise VerificationError(violation)
-        return table
-    raise SplitFailureError("splitting failed for four admissible primes") from failure
+    table = _attempt(G, T, dixon_prime(exponent, G.order), exponent)
+    violation = verify_orthogonality(table)
+    if violation is not None:
+        raise VerificationError(violation)
+    return table
 
 
 def verify_orthogonality(ct: CharacterTable) -> str | None:

@@ -32,7 +32,7 @@ class UnknownConstructorError(GroupSpecError):
 
 
 class SplitFailureError(RuntimeError):
-    """Eigenspace splitting failed for every admissible prime tried."""
+    """Splitting or lifting at the Dixon prime found the class data inconsistent."""
 
 
 class VerificationError(RuntimeError):

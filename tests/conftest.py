@@ -1,10 +1,11 @@
 """Shared test helpers: one group pipeline cache keyed by spec text, the
 brute-force centralizer, commutator-closure and fingerprint references, the
-cyclotomic reference sum and tampered character tables."""
+whole class-matrix reference, the cyclotomic reference sum and tampered
+character tables."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -68,6 +69,34 @@ def fingerprint_reference(G, seed) -> tuple:
             k, power = k + 1, power * x
         profile[k] = profile.get(k, 0) + 1
     return (len(members), tuple(sorted(sizes)), tuple(sorted(profile.items())))
+
+
+@dataclass(frozen=True)
+class ClassMatrix:
+    """Structure constants a_{jik} for one fixed class j; entries[i][k]."""
+
+    j: int
+    entries: tuple[tuple[int, ...], ...]
+
+
+def class_matrices(T, G, ids=None) -> list[ClassMatrix]:
+    """Count the structure-constant matrices of the classes ids (default all) exactly.
+
+    The whole-matrix reference for `chartab.class_matrix_row`: it tallies
+    y = x⁻¹·rep_k over x ∈ C_j, where the split counts x·y_i per row."""
+    r = len(T.classes)
+    reps = [G.elements[c.representative] for c in T.classes]
+    out = []
+    for j in range(r) if ids is None else ids:
+        c = T.classes[j]
+        entries = [[0] * r for _ in range(r)]
+        for x in c.members:
+            # xy = z  ⟺  y = x⁻¹z; tally the class y lands in
+            xi = G.elements[G.inverse(x)]
+            for k, z in enumerate(reps):
+                entries[T.class_of[G.index[xi * z]]][k] += 1
+        out.append(ClassMatrix(j=c.id, entries=tuple(tuple(row) for row in entries)))
+    return out
 
 
 def cyclotomic_sum(terms) -> Cyclotomic:

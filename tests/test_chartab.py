@@ -5,15 +5,24 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from conftest import Q8, SL23, SL27, charactered, classed, cyclotomic_sum, tampered
+from conftest import (
+    Q8,
+    SL23,
+    SL27,
+    charactered,
+    class_matrices,
+    classed,
+    cyclotomic_sum,
+    tampered,
+)
 from rigidity import chartab, cli
 from rigidity.chartab import (
     _charpoly_mod,
     character_table,
-    class_matrices,
     class_matrix_row,
     dixon_prime,
     verify_orthogonality,
@@ -248,29 +257,6 @@ def test_split_builds_only_the_class_matrices_it_reaches(monkeypatch, spec, need
     assert all(kernels)
 
 
-def test_retry_reuses_the_class_matrices(monkeypatch):
-    spec = "Alt(7)"
-    G, T = classed(spec)
-    _, _, expected = charactered(spec)
-    built, _ = _count_builds(monkeypatch)
-    attempt, primes, first = chartab._attempt, [], []
-
-    def fail_once(G, T, class_row, p, e):
-        primes.append(p)
-        table = attempt(G, T, class_row, p, e)
-        if len(primes) == 1:
-            first.extend(built)
-            raise SplitFailureError("forced retry")
-        return table
-
-    monkeypatch.setattr(chartab, "_attempt", fail_once)
-    assert character_table(G, T) == expected
-    assert primes[0] < primes[1] and len(primes) == 2
-    assert built and len(built) == len(set(built))
-    # the retry reduces the first attempt's rows mod its own prime
-    assert built == first
-
-
 @pytest.mark.parametrize("spec", ("Sym(6)", "Alt(7)", SL27, "SO3(7)", Q8))
 def test_class_matrix_rows_match_class_matrices(spec):
     G, T = classed(spec)
@@ -279,31 +265,56 @@ def test_class_matrix_rows_match_class_matrices(spec):
             assert class_matrix_row(T, G, M.j, i) == row
 
 
+def _tamper_row(monkeypatch, j, i, k):
+    """Make chartab count row i of A_j with entry k raised by 1."""
+
+    def tampered_row(T, G, jj, ii):
+        row = class_matrix_row(T, G, jj, ii)
+        return row if (jj, ii) != (j, i) else row[:k] + (row[k] + 1,) + row[k + 1 :]
+
+    monkeypatch.setattr(chartab, "class_matrix_row", tampered_row)
+
+
 @pytest.mark.parametrize(
     "spec, j, i, k, cause",
     [
-        ("Alt(7)", 2, 0, 0, "eigenvector vanishes at the identity class"),
-        ("Alt(7)", 2, 0, 5, "no integer degree matches"),
-        ("Sym(6)", 2, 0, 7, "degree squares do not sum to the group order"),
+        ("Alt(7)", 2, 0, 1, "eigenvector vanishes at the identity class"),
+        ("Sym(6)", 2, 0, 1, "no integer degree matches"),
+        ("Sym(6)", 2, 0, 9, "degree squares do not sum to the group order"),
         (SL27, 1, 1, 1, "matrix not diagonalizable over this prime"),
     ],
 )
 def test_tampered_row_ends_in_a_typed_error(monkeypatch, capsys, spec, j, i, k, cause):
-    count = chartab.class_matrix_row
-
-    def tampered_row(T, G, jj, ii):
-        row = count(T, G, jj, ii)
-        if (jj, ii) != (j, i):
-            return row
-        return row[:k] + (row[k] + 1,) + row[k + 1 :]
-
-    monkeypatch.setattr(chartab, "class_matrix_row", tampered_row)
+    # the split runs at the Dixon prime only, so the first failed check ends
+    # the call with its own text
+    _tamper_row(monkeypatch, j, i, k)
     G, T = classed(spec)
     with pytest.raises((SplitFailureError, VerificationError)) as caught:
         character_table(G, T)
-    assert str(caught.value.__cause__ or caught.value) == cause
+    assert str(caught.value) == cause
+    assert caught.value.__cause__ is None
     assert cli.main(["chartab", spec]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {cause}\n"
+
+
+@pytest.mark.parametrize("spec", ("Sym(5)", "Alt(5)", SL23))
+def test_no_wrong_table_escapes_a_tampered_row(monkeypatch, spec):
+    # every entry of every row the split could read, raised by 1 in turn:
+    # with no retry, the one split fails a typed check or gives the true table
+    G, T = classed(spec)
+    expected = charactered(spec)[2]
+    r = T.num_classes
+    errors = 0
+    for j, i, k in product(range(1, r), range(r), range(r)):
+        _tamper_row(monkeypatch, j, i, k)
+        try:
+            table = character_table(G, T)
+        except (SplitFailureError, VerificationError):
+            errors += 1
+        else:
+            assert table == expected, (j, i, k)
+    # the split reads some of these entries, so some tampering must show
+    assert errors
 
 
 def test_class_matrix_row_needs_exact_division():
@@ -318,8 +329,8 @@ def test_class_matrix_row_needs_exact_division():
 def test_tampered_table_fails_inside_character_table(monkeypatch, capsys):
     attempt = chartab._attempt
 
-    def tampered_attempt(G, T, class_row, p, e):
-        return tampered(attempt(G, T, class_row, p, e), zeta(5))
+    def tampered_attempt(G, T, p, e):
+        return tampered(attempt(G, T, p, e), zeta(5))
 
     monkeypatch.setattr(chartab, "_attempt", tampered_attempt)
     G, T = classed("Alt(5)")
