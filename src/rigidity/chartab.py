@@ -67,18 +67,21 @@ from .groups import FiniteGroup, _is_prime
 
 
 def class_matrix_row(T: ClassTable, G: FiniteGroup, j: int, i: int) -> tuple[int, ...]:
-    """Row i of A_j from |C_j| products: a_{jik} = |C_i|·#{x ∈ C_j : x·y_i ∈ C_k}/|C_k|.
+    """Row i of A_j from min(|C_i|, |C_j|) products.
 
-    y_i is the representative of C_i.  The pairs (x, y) ∈ C_j × C_i with
-    xy ∈ C_k number a_{jik}·|C_k|, and conjugating each pair so that y = y_i
-    shows that they also number |C_i| times the count above.  Each division
-    must be exact; a remainder raises VerificationError."""
+    a_{jik} = |C_i|·#{x ∈ C_j : x·y_i ∈ C_k}/|C_k| with y_i the
+    representative of C_i: the pairs (x, y) ∈ C_j × C_i with xy ∈ C_k number
+    a_{jik}·|C_k|, and conjugating each pair so that y = y_i shows that they
+    also number |C_i| times that count.  The class algebra is commutative, so
+    a_{jik} = a_{ijk}, and the count runs over the smaller of C_i and C_j.
+    Each division must be exact; a remainder raises VerificationError."""
     elements, index, class_of = G.elements, G.index, T.class_of
-    y = elements[T.classes[i].representative]
+    scanned, fixed = (i, j) if T.classes[i].size < T.classes[j].size else (j, i)
+    y = elements[T.classes[fixed].representative]
     counts = [0] * len(T.classes)
-    for x in T.classes[j].members:
+    for x in T.classes[scanned].members:
         counts[class_of[index[elements[x] * y]]] += 1
-    size = T.classes[i].size
+    size = T.classes[fixed].size
     row = []
     for k, n in enumerate(counts):
         a, remainder = divmod(size * n, T.classes[k].size)

@@ -176,8 +176,6 @@ def cmd_count(args):
     T = conjugacy_classes(G)
     CT = character_table(G, T)
     ids = tuple(_resolve_selector(T, token) for token in args.selectors)
-    if len(ids) < 2:
-        raise ValueError("need at least two class selectors")
     count = frobenius_count(CT, ids)
     body = {
         "class-ids": list(ids),
@@ -256,8 +254,6 @@ def cmd_rigid(args):
         }
         return _envelope("rigid", args, body), EXIT_PASS
     ids = tuple(_resolve_selector(T, token) for token in tokens)
-    if len(ids) < 2:
-        raise ValueError("need at least two class selectors")
     verdict = rigidity_verdict(G, T, CT, ids, cap=cap)
     body = {"mode": "classes", "class-ids": list(ids), **_verdict_body(verdict)}
     if verdict.kind != "empty":

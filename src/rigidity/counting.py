@@ -204,12 +204,14 @@ def enumerate_solutions(
 ) -> SolutionSet:
     """Exhaustive scan of the solutions with x₁ = rep₁.
 
-    Iterates every class after the first except the largest of them and
-    solves for that one.  The cap bounds the product of all class sizes but
-    the largest, the iterations of a scan over every x₁.
+    Iterates every class after the first except the largest of them, C_m, and
+    solves for x_m.  The cap bounds the product of all class sizes but the
+    largest, the iterations of a scan over every x₁.  `mult` memoizes one
+    Cayley row per distinct left factor: for pairs and triples at most those
+    of rep₁ and rep₁⁻¹, but for 4 or more classes one per distinct partial
+    product, a number the cap does not bound.
     """
     ids = _check_ids(class_ids, len(T.classes))
-    s = len(ids)
     sizes = [T.classes[i].size for i in ids]
     iterations = prod(sizes) // max(sizes)
     if iterations > cap:
@@ -218,31 +220,26 @@ def enumerate_solutions(
         )
     rest = sizes[1:]
     m = 1 + rest.index(max(rest))
-    positions = [pos for pos in range(1, s) if pos != m]
-    member_lists = [T.classes[ids[pos]].members for pos in positions]
+    member_lists = [T.classes[i].members for i in ids[1:m] + ids[m + 1 :]]
     rep = T.classes[ids[0]].representative
     target = ids[m]
     class_of = T.class_of
     mult, inverse = G.mult, G.inverse
     reduced = []
-    assigned = [rep] * s
     for combo in iter_product(*member_lists):
-        for pos, x in zip(positions, combo):
-            assigned[pos] = x
-        # x_m = (rep·x₂⋯x_{m−1})⁻¹·(x_{m+1}⋯x_s)⁻¹; for pairs and triples
-        # every product has rep or rep⁻¹ on the left, one memoized row each
+        # x_m = pre⁻¹·suf⁻¹ with pre = rep·x₂⋯x_{m−1} and suf = x_{m+1}⋯x_s
+        head, tail = combo[: m - 1], combo[m - 1 :]
         pre = rep
-        for pos in range(1, m):
-            pre = mult(pre, assigned[pos])
+        for x in head:
+            pre = mult(pre, x)
         xm = inverse(pre)
-        if m < s - 1:
-            suf = assigned[m + 1]
-            for pos in range(m + 2, s):
-                suf = mult(suf, assigned[pos])
+        if tail:
+            suf = tail[0]
+            for x in tail[1:]:
+                suf = mult(suf, x)
             xm = mult(xm, inverse(suf))
         if class_of[xm] == target:
-            assigned[m] = xm
-            reduced.append(tuple(assigned))
+            reduced.append((rep, *head, xm, *tail))
     reduced.sort()
     return SolutionSet(
         class_ids=ids, first_class_size=sizes[0], reduced=tuple(reduced)

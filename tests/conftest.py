@@ -1,19 +1,22 @@
 """Shared test helpers: one group pipeline cache keyed by spec text, the
 brute-force centralizer, commutator-closure and fingerprint references, the
-whole class-matrix reference, the cyclotomic reference sum and tampered
-character tables."""
+whole class-matrix reference, the full-scan reference for solutions and
+orbits, the cyclotomic reference sum and tampered character tables."""
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product as iter_product
 from math import lcm
 from operator import mul
 
 from rigidity.audit import Pipelines
 from rigidity.chartab import Character
 from rigidity.cyclotomic import Cyclotomic
-from rigidity.groups import orbit
+from rigidity.counting import Orbit
+from rigidity.groups import orbit, orbit_partition
 
 # quaternion group of order 8 as 2x2 matrices over F_3
 Q8_FLATS = ((0, 2, 1, 0), (1, 1, 1, 2))
@@ -97,6 +100,53 @@ def class_matrices(T, G, ids=None) -> list[ClassMatrix]:
                 entries[T.class_of[G.index[xi * z]]][k] += 1
         out.append(ClassMatrix(j=c.id, entries=tuple(tuple(row) for row in entries)))
     return out
+
+
+class FullScan:
+    """The scan and orbit routes without the centralizer reduction, kept as
+    the reference for one group.
+
+    No entry is fixed: the first s−2 entries of a tuple are iterated, and the
+    last two are looked up by their product in a table of all their pairs.
+    Orbits are those of G itself on every solution.
+    """
+
+    def __init__(self, G, T):
+        self.G, self.T = G, T
+        self.conjugation = [
+            [G.conjugate(x, g) for x in range(G.order)] for g in G.generator_indices
+        ]
+        self._pairs = {}
+
+    def _pairs_by_product(self, y, z):
+        if (y, z) not in self._pairs:
+            table = self._pairs[y, z] = defaultdict(list)
+            for b in self.T.classes[y].members:
+                for c in self.T.classes[z].members:
+                    table[self.G.mult(b, c)].append((b, c))
+        return self._pairs[y, z]
+
+    def solutions(self, ids):
+        """Every solution of x₁⋯x_s = 1 in the class tuple, ascending."""
+        G = self.G
+        pairs = self._pairs_by_product(*ids[-2:])
+        solutions = []
+        for head in iter_product(*(self.T.classes[i].members for i in ids[:-2])):
+            h = 0
+            for x in head:
+                h = G.mult(h, x)
+            solutions.extend(head + pair for pair in pairs.get(G.inverse(h), ()))
+        return sorted(solutions)
+
+    def decomposition(self, solutions):
+        """The orbits of G on the solutions, least tuples first."""
+        order = self.G.order
+        return tuple(
+            Orbit(representative=seed, size=len(members), stabilizer_order=order // len(members))
+            for seed, members in orbit_partition(
+                solutions, self.conjugation, lambda sol, t: tuple(map(t.__getitem__, sol))
+            )
+        )
 
 
 def cyclotomic_sum(terms) -> Cyclotomic:

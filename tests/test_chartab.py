@@ -324,6 +324,14 @@ def test_class_matrix_row_needs_exact_division():
     forged = replace(T, classes=T.classes[:2] + (replace(T.classes[2], size=4),))
     with pytest.raises(VerificationError, match="class matrix 1, row 1: entry 2"):
         class_matrix_row(forged, G, 1, 1)
+    # with |C_2| of Sym(4) claimed as 4, both orders count over the 3 members
+    # of C_1 times (0 1), and entry 4 is 4·2/6; each error names the caller's ids
+    G, T = classed("Sym(4)")
+    assert [c.size for c in T.classes] == [1, 3, 6, 8, 6]
+    forged = replace(T, classes=T.classes[:2] + (replace(T.classes[2], size=4),) + T.classes[3:])
+    for j, i in ((1, 2), (2, 1)):
+        with pytest.raises(VerificationError, match=f"class matrix {j}, row {i}: entry 4"):
+            class_matrix_row(forged, G, j, i)
 
 
 def test_tampered_table_fails_inside_character_table(monkeypatch, capsys):

@@ -131,6 +131,14 @@ def test_selector_errors(capsys):
     assert "id:" in err
 
 
+@pytest.mark.parametrize("command", ["count", "rigid"])
+def test_one_class_selector_is_a_usage_error(capsys, command):
+    # the one arity check is the counting routes' own
+    code, out, err = run(capsys, command, "Sym(4)", "id:1")
+    assert (code, out) == (2, "")
+    assert err == "error: need at least 2 classes, got 1\n"
+
+
 @pytest.mark.parametrize(
     "token",
     ["id:1_0", "id: 1", "id:+1", "id:\u0661"],
@@ -267,19 +275,49 @@ def test_rigid_scan_cap_counts_a_scan_over_every_first_entry(capsys):
     assert run(capsys, "rigid", "Sym(5)", "2", "4", "5", "--cap", "360")[0] == 0
 
 
+def _memoized_rows(capsys, monkeypatch, argv):
+    """(class table, Cayley rows memoized, stdout) after one passing command."""
+    tables = []
+    classes = cli.conjugacy_classes
+    monkeypatch.setattr(cli, "conjugacy_classes", lambda G: tables.append(classes(G)) or tables[-1])
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    (T,) = tables
+    return T, sum(row is not None for row in T.group._rows), out
+
+
 @pytest.mark.parametrize(
     "argv",
     [("rigid", "Sym(6)", "2", "4", "5"), ("oracle", "Sym(5)")],
     ids=["census", "oracle"],
 )
 def test_scan_memoizes_at_most_two_rows_per_class(capsys, monkeypatch, argv):
-    tables = []
-    classes = cli.conjugacy_classes
-    monkeypatch.setattr(cli, "conjugacy_classes", lambda G: tables.append(classes(G)) or tables[-1])
-    assert run(capsys, *argv)[0] == 0
-    (T,) = tables
-    rows = sum(row is not None for row in T.group._rows)
+    T, rows, _ = _memoized_rows(capsys, monkeypatch, argv)
     assert 0 < rows <= 2 * T.num_classes
+
+
+@pytest.mark.parametrize(
+    "argv, bound, digest",
+    [
+        (
+            ("rigid", "Sym(6)", "id:2", "id:4", "id:4", "id:2"),
+            41,
+            "118f1278ab5ce6a5778789340851206cf689211ac99f2c426d493f1d6c4801ee",
+        ),
+        (
+            ("rigid", "Mat(7, 2; [1 1 0 1], [0 6 1 0])", "id:2", "id:3", "id:4", "id:5"),
+            43,
+            "e55132f7a7f09b13f935899b41eaa2ce5997c445740865bede1deeb6afb3ce91",
+        ),
+    ],
+    ids=["Sym(6)", "SL(2,7)"],
+)
+def test_four_class_scan_memoizes_no_more_rows(capsys, monkeypatch, argv, bound, digest):
+    # a scan of 4 classes memoizes one row per distinct partial product; the
+    # bounds and digests were recorded before the scan loop lost its scratch list
+    _, rows, out = _memoized_rows(capsys, monkeypatch, argv)
+    assert rows <= bound
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_headline_census_output_is_pinned(capsys):

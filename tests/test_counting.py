@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -11,11 +10,10 @@ from math import prod
 
 import pytest
 
-from conftest import Q8, SL23, SL27, charactered, cyclotomic_sum, tampered
+from conftest import Q8, SL23, SL27, FullScan, charactered, cyclotomic_sum, tampered
 from rigidity import counting
 from rigidity.conjugacy import conjugacy_classes
 from rigidity.counting import (
-    Orbit,
     abc_census,
     class_algebra_constant,
     count_equivalence,
@@ -27,7 +25,6 @@ from rigidity.counting import (
 )
 from rigidity.cyclotomic import zeta
 from rigidity.errors import CapExceededError, NonIntegerResultError, VerificationError
-from rigidity.groups import orbit_partition
 from rigidity.groupspec import build_group
 
 # irrational values: (1±√5)/2 in Alt(5), ζ₃ in SL(2,3), √−7 and √2 in SL(2,7)
@@ -72,53 +69,6 @@ def _outcome(function, *args):
         return ("value", function(*args))
     except NonIntegerResultError as exc:
         return ("error", str(exc))
-
-
-class _FullScan:
-    """The scan and orbit routes without the centralizer reduction, kept as
-    the reference for one group.
-
-    No entry is fixed: the first s−2 entries of a tuple are iterated, and the
-    last two are looked up by their product in a table of all their pairs.
-    Orbits are those of G itself on every solution.
-    """
-
-    def __init__(self, G, T):
-        self.G, self.T = G, T
-        self.conjugation = [
-            [G.conjugate(x, g) for x in range(G.order)] for g in G.generator_indices
-        ]
-        self._pairs = {}
-
-    def _pairs_by_product(self, y, z):
-        if (y, z) not in self._pairs:
-            table = self._pairs[y, z] = defaultdict(list)
-            for b in self.T.classes[y].members:
-                for c in self.T.classes[z].members:
-                    table[self.G.mult(b, c)].append((b, c))
-        return self._pairs[y, z]
-
-    def solutions(self, ids):
-        """Every solution of x₁⋯x_s = 1 in the class tuple, ascending."""
-        G = self.G
-        pairs = self._pairs_by_product(*ids[-2:])
-        solutions = []
-        for head in product(*(self.T.classes[i].members for i in ids[:-2])):
-            h = 0
-            for x in head:
-                h = G.mult(h, x)
-            solutions.extend(head + pair for pair in pairs.get(G.inverse(h), ()))
-        return sorted(solutions)
-
-    def decomposition(self, solutions):
-        """The orbits of G on the solutions, least tuples first."""
-        order = self.G.order
-        return tuple(
-            Orbit(representative=seed, size=len(orbit), stabilizer_order=order // len(orbit))
-            for seed, orbit in orbit_partition(
-                solutions, self.conjugation, lambda sol, t: tuple(map(t.__getitem__, sol))
-            )
-        )
 
 
 DUAL_ROUTE_NAMES = (
@@ -262,7 +212,7 @@ def test_reduced_route_matches_the_full_scan():
         assert reduced == reference.decomposition(reference.solutions(ids)), ids
 
     for name in REFERENCE_NAMES:
-        reference = _FullScan(*charactered(name)[:2])
+        reference = FullScan(*charactered(name)[:2])
         for repeat in (2, 3):
             for ids in product(range(reference.T.num_classes), repeat=repeat):
                 check(reference, ids)
@@ -270,7 +220,7 @@ def test_reduced_route_matches_the_full_scan():
             rng = random.Random(7)
             for _ in range(200):
                 check(reference, tuple(rng.randrange(reference.T.num_classes) for _ in range(4)))
-    reference = _FullScan(*charactered(SYM6_RELABELLED)[:2])
+    reference = FullScan(*charactered(SYM6_RELABELLED)[:2])
     rng = random.Random(6)
     for repeat in (2, 3) * 10:
         check(reference, tuple(rng.randrange(reference.T.num_classes) for _ in range(repeat)))
@@ -302,7 +252,7 @@ def test_solutions_multiply_to_identity_within_classes():
     G, T, _ = charactered("Alt(5)")
     ids = (1, 2, 3)
     S = enumerate_solutions(G, T, ids)
-    full = _FullScan(G, T).solutions(ids)
+    full = FullScan(G, T).solutions(ids)
     rep = T.classes[ids[0]].representative
     assert S.reduced == tuple(sol for sol in full if sol[0] == rep)
     assert len(S) == len(full) == T.classes[ids[0]].size * len(S.reduced)
@@ -319,7 +269,7 @@ def test_orbit_invariants():
         G, T, _ = charactered(name)
         S = enumerate_solutions(G, T, ids)
         orbits = orbit_decomposition(G, S)
-        full = _FullScan(G, T).solutions(ids)
+        full = FullScan(G, T).solutions(ids)
         assert sum(o.size for o in orbits) == len(S) == len(full)
         for o in orbits:
             assert G.order % o.size == 0
@@ -444,7 +394,7 @@ def test_census_orbits_match_the_union_decomposition():
     for name, orders in (("Alt(4)", (2, 2, 2)), ("Alt(5)", (2, 5, 5)), ("Sym(4)", (2, 3, 4))):
         G, T, _ = charactered(name)
         census = abc_census(G, T, *orders)
-        reference = _FullScan(G, T)
+        reference = FullScan(G, T)
         union = sorted(
             sol for ids, _ in census.per_tuple for sol in reference.solutions(ids)
         )

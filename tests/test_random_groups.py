@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement, product
 from math import factorial
 
 import pytest
-from conftest import commutator_closure, fingerprint_reference
+from conftest import FullScan, commutator_closure, fingerprint_reference
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
@@ -55,12 +55,15 @@ def check_tables_and_counts(G, T):
     assert verify_orthogonality(CT) is None
     assert all(G.order % c.size == 0 for c in T.classes)
     assert count_equivalence(G, T, CT)[1] == []
-    # the scan's orbits partition the solutions, and each is an orbit of G
+    # the scan's orbits partition the solutions, each is an orbit of G, and
+    # they are the orbits the full scan finds without fixing x₁ = rep₁
+    reference = FullScan(G, T)
     seeds = set()
     for ids in combinations_with_replacement(range(T.num_classes), 3):
         verdict = rigidity_verdict(G, T, CT, ids)
         assert sum(orbit.size for orbit in verdict.orbits) == verdict.count
         assert all(o.size * o.stabilizer_order == G.order for o in verdict.orbits)
+        assert verdict.orbits == reference.decomposition(reference.solutions(ids)), ids
         seeds.update(o.representative[:2] for o in verdict.orbits)
 
     # the census fingerprints, against brute force on element objects; the
