@@ -8,8 +8,8 @@ simultaneous right eigenvector of all structure-constant matrices:
 
 1. count only the rows of the integer matrix A_j that the split reads, each
    once per table: with y_i the representative of C_i, row i is
-   a_{jik} = |C_i|·#{x ∈ C_j : x·y_i ∈ C_k}/|C_k|, from |C_j| products and
-   no inverses;
+   a_{jik} = |C_i|·#{x ∈ C_j : x·y_i ∈ C_k}/|C_k|, from min(|C_i|, |C_j|)
+   products and no inverses;
 2. pick a prime p ≡ 1 (mod exponent) with p > 2√|G|.  Such p cannot divide
    |G|: a prime divisor q of |G| divides the exponent (Cauchy), forcing
    p ≡ 1 (mod q), so the class algebra over F_p is semisimple and F_p holds
@@ -42,8 +42,9 @@ the input, and it ends the call with its own text.
 
 Pivot rows cannot see an image that leaves its space, so a wrong row could
 yield a consistent but wrong table.  Before it returns, `character_table`
-therefore checks both orthogonality relations exactly on the lifted table
-and raises VerificationError on the first violation.
+therefore checks that the lifted table is square and that the column
+orthogonality relation holds exactly, which implies the row relation too, and
+raises VerificationError on the first violation.
 """
 
 from __future__ import annotations
@@ -362,7 +363,8 @@ def character_table(G: FiniteGroup, T: ClassTable) -> CharacterTable:
     """Exact character table from one split and lift at the Dixon prime.
 
     A failed split raises its own SplitFailure; the table is returned only if
-    both orthogonality relations hold exactly, otherwise VerificationError."""
+    it is square and the column orthogonality relation holds exactly (so both
+    relations do), otherwise VerificationError."""
     exponent = lcm(*T.element_order_of_class)
     table = _attempt(G, T, dixon_prime(exponent, G.order), exponent)
     violation = verify_orthogonality(table)
@@ -372,47 +374,55 @@ def character_table(G: FiniteGroup, T: ClassTable) -> CharacterTable:
 
 
 def verify_orthogonality(ct: CharacterTable) -> str | None:
-    """Exact first and second orthogonality relations: the first violation's text, or None.
+    """Exact orthogonality of a square table: the first violation's text, or None.
 
-    Sums run on `ct.integer_columns`, which hold D·χ, so each sum is D² times
-    its value.  The second relation Σ_χ χ(g_k)·conj χ(g_l) = δ_kl·|G|/|C_k|
-    is checked multiplied through by |C_k|, so both compare with D²·|G|·δ.
-    Each relation adds up its products unreduced and reduces the sum mod Φ_e
-    once."""
-    e, D, columns = ct.integer_columns
-    conjugates = [[conjugate_mod(v, e) for v in column] for column in columns]
-    target = D * D * ct.group_order
-    sizes = ct.class_sizes
-    width = 2 * euler_phi(e) - 1
+    The table must be square, and then only the column relation
+    Σ_χ χ(g_k)·conj χ(g_l) = δ_kl·|G|/|C_k| is checked.  It suffices: in
+    matrix form, with X[χ][k] = χ(g_k), it says X^H·X = diag(|G|/|C_k|), so a
+    square X is invertible with X⁻¹ = diag(|C_k|/|G|)·X^H, and X·X⁻¹ = I is the
+    row relation Σ_k |C_k|·χ(g_k)·conj ψ(g_k) = δ_χψ·|G|.  A table that is not
+    square fails some relation, since h orthogonal nonzero rows in C^r and r
+    orthogonal nonzero columns in C^h force h = r.
 
-    def holds(weighted_pairs, diagonal: bool) -> bool:
-        # reduction mod Φ_e is a ring map: add up the plain polynomial
-        # products and reduce the sum once
-        if width == 1:
-            # e ≤ 2 (every Sym(n) table): the values are integers
-            total = [sum(w * x[0] * y[0] for w, x, y in weighted_pairs)]
-        else:
-            total = [0] * width
-            for weight, x, y in weighted_pairs:
-                for i, a in enumerate(x):
-                    if a:
-                        a *= weight
-                        for k, b in enumerate(y, i):
-                            if b:
-                                total[k] += a * b
-            total = _reduce_mod(total, e)
-        expected = target if diagonal else 0
-        return total[0] == expected and not any(total[1:])
+    Pair (k, l) is checked at c = lcm of the two columns' conductors.  Each
+    column is lifted at most once per conductor it meets, to D_k·χ(g_k) with
+    D_k the column's own common denominator, so the relation is compared as
+    |C_k|·Σ_χ (D_k·χ(g_k))·(D_l·conj χ(g_l)) = δ_kl·D_k·D_l·|G|.  The products
+    are added unreduced and the sum is reduced mod Φ_c once."""
+    r = ct.num_classes
+    if len(ct.rows) != r:
+        return f"orthogonality fails for a table of {len(ct.rows)} rows on {r} classes"
+    conductors = [lcm(*(row.values[k].conductor for row in ct.rows)) for k in range(r)]
+    lifts: dict[tuple[int, int], tuple[int, tuple, list]] = {}
 
-    r = len(ct.rows)
-    for a in range(r):
-        for b in range(a, r):
-            pairs = zip(sizes, (col[a] for col in columns), (conj[b] for conj in conjugates))
-            if not holds(pairs, a == b):
-                return f"row orthogonality fails for rows {a}, {b}"
-    for k in range(len(sizes)):
-        for l in range(k, len(sizes)):
-            pairs = ((sizes[k], x, y) for x, y in zip(columns[k], conjugates[l]))
-            if not holds(pairs, k == l):
+    def lift(k: int, c: int) -> tuple[int, tuple, list]:
+        """(D_k, D_k·χ(g_k) and D_k·conj χ(g_k) for every χ) at conductor c."""
+        if (k, c) not in lifts:
+            D, vectors = integer_coordinates([row.values[k] for row in ct.rows], c)
+            lifts[k, c] = D, vectors, [conjugate_mod(v, c) for v in vectors]
+        return lifts[k, c]
+
+    for k in range(r):
+        for l in range(k, r):
+            c = lcm(conductors[k], conductors[l])
+            Dk, xs, _ = lift(k, c)
+            Dl, _, ys = lift(l, c)
+            width = 2 * euler_phi(c) - 1
+            if width == 1:
+                # c ≤ 2 (every Sym(n) table): the values are integers
+                total = [sum(x[0] * y[0] for x, y in zip(xs, ys))]
+            else:
+                # reduction mod Φ_c is a ring map: add up the plain polynomial
+                # products and reduce the sum once
+                total = [0] * width
+                for x, y in zip(xs, ys):
+                    for i, a in enumerate(x):
+                        if a:
+                            for j, b in enumerate(y, i):
+                                if b:
+                                    total[j] += a * b
+                total = _reduce_mod(total, c)
+            expected = Dk * Dl * ct.group_order if k == l else 0
+            if ct.class_sizes[k] * total[0] != expected or any(total[1:]):
                 return f"column orthogonality fails for classes {k}, {l}"
     return None

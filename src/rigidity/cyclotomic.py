@@ -7,12 +7,19 @@ equality is structural and hashing is safe.  Since the power basis of ζ_e is
 an integral basis of the ring of integers of Q(ζ_e), a value is an algebraic
 integer exactly when every stored coordinate has denominator 1.
 
-Conductor minimization walks the prime divisors p of e and attempts to
-rewrite the value over the subfield generated by ζ_{e/p} = ζ_e^p; the value
-lies in that subfield exactly when the linear system over the subfield's
-basis vectors is solvable.  This drops e ≡ 2 (mod 4) conductors automatically
-(those fields coincide with their odd-conductor subfield), so stored
-conductors are never ≡ 2 mod 4.
+Conductor minimization reads the power-basis coordinates first.  A value
+whose coordinates past the first are all 0 is rational.  When p² | e,
+Φ_e(x) = Φ_{e/p}(x^p) and Q(ζ_e) = ⊕_{i<p} ζ_e^i·Q(ζ_{e/p}), so the value lies
+in Q(ζ_{e/p}) exactly when its coordinates off the multiples of p vanish, and
+its coordinates there are every p-th one.  Only a prime dividing e exactly
+once needs a linear system: the value lies in Q(ζ_{e/p}), ζ_{e/p} = ζ_e^p,
+exactly when the system over that subfield's basis vectors is solvable.  An
+exponent map at e = 2m, m odd, is first rewritten at m by
+ζ_e^t = (−1)^t·ζ_m^{t(m+1)/2}, since Q(ζ_e) = Q(ζ_m); a descent by an odd
+prime can still leave such an e, which the system for p = 2 then drops.  So
+stored conductors are never ≡ 2 mod 4.  The minimal conductor and the
+coordinates over it are unique, so the order of the descents does not change
+the result.
 
 `Cyclotomic` is a value type: it is built (`from_rational`,
 `from_exponent_map`, `zeta`), compared, hashed, ordered and printed, and
@@ -165,19 +172,21 @@ class Cyclotomic:
 
     @staticmethod
     def _canonical(e: int, vec: list[Fraction]) -> "Cyclotomic":
-        while True:
-            if not any(vec):
-                return Cyclotomic(1, {})
-            if e == 1:
-                break
+        while any(vec[1:]):
             for p in _prime_factors(e):
-                sub = _try_descend(e, vec, p)
-                if sub is not None:
-                    e, vec = e // p, sub
-                    break
-            else:
+                if (e // p) % p:
+                    sub = _try_descend(e, vec, p)
+                    if sub is None:
+                        continue
+                elif any(c for i, c in enumerate(vec) if i % p):
+                    continue
+                else:
+                    sub = vec[::p]
+                e, vec = e // p, sub
                 break
-        return Cyclotomic(e, {k: c for k, c in enumerate(vec) if c})
+            else:
+                return Cyclotomic(e, {k: c for k, c in enumerate(vec) if c})
+        return Cyclotomic.from_rational(vec[0])
 
     @classmethod
     def from_rational(cls, value) -> "Cyclotomic":
@@ -189,6 +198,14 @@ class Cyclotomic:
         """Σ c_k ζ_e^k reduced to canonical form."""
         if e < 1:
             raise ValueError(f"conductor must be ≥ 1, got {e}")
+        if e % 4 == 2:
+            # ζ_e = −ζ_e^{m+1} = −ζ_m^{(m+1)/2} with m = e/2 odd
+            m, half = e // 2, (e // 2 + 1) // 2
+            rewritten: dict[int, Fraction] = {}
+            for t, c in mapping.items():
+                k = t * half % m
+                rewritten[k] = rewritten.get(k, _ZERO) + (-c if t % 2 else c)
+            e, mapping = m, rewritten
         powers = _zeta_powers(e)
         vec = [_ZERO] * euler_phi(e)
         for k, c in mapping.items():

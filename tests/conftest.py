@@ -1,7 +1,8 @@
 """Shared test helpers: one group pipeline cache keyed by spec text, the
 brute-force centralizer, commutator-closure and fingerprint references, the
 whole class-matrix reference, the full-scan reference for solutions and
-orbits, the cyclotomic reference sum and tampered character tables."""
+orbits, the cyclotomic reference sum, the elimination-only canonical form,
+the two-relation orthogonality reference and tampered character tables."""
 
 from __future__ import annotations
 
@@ -14,7 +15,15 @@ from operator import mul
 
 from rigidity.audit import Pipelines
 from rigidity.chartab import Character
-from rigidity.cyclotomic import Cyclotomic
+from rigidity.cyclotomic import (
+    Cyclotomic,
+    _prime_factors,
+    _reduce_mod,
+    _try_descend,
+    _zeta_powers,
+    conjugate_mod,
+    euler_phi,
+)
 from rigidity.counting import Orbit
 from rigidity.groups import orbit, orbit_partition
 
@@ -176,10 +185,81 @@ def cyclotomic_sum(terms) -> Cyclotomic:
     return Cyclotomic.from_exponent_map(L, total)
 
 
-def tampered(CT, delta):
-    """CT with delta (a Cyclotomic or a rational) added to the last value of its last row."""
+def canonical_reference(e: int, mapping: dict) -> Cyclotomic:
+    """`Cyclotomic.from_exponent_map(e, mapping)` by elimination only.
+
+    The vector is built at e itself, with no rewrite of e ≡ 2 (mod 4), and
+    each descent solves the linear system of `_try_descend`, trying the prime
+    factors of e in ascending order, until none applies."""
+    powers = _zeta_powers(e)
+    vec = [Fraction(0)] * euler_phi(e)
+    for k, c in mapping.items():
+        for i, b in enumerate(powers[k % e]):
+            vec[i] += Fraction(c) * b
+    while True:
+        if not any(vec):
+            return Cyclotomic(1, {})
+        if e == 1:
+            break
+        for p in _prime_factors(e):
+            sub = _try_descend(e, vec, p)
+            if sub is not None:
+                e, vec = e // p, sub
+                break
+        else:
+            break
+    return Cyclotomic(e, {k: c for k, c in enumerate(vec) if c})
+
+
+def two_relation_violation(ct) -> str | None:
+    """Both orthogonality relations, each at the table's one conductor e: the
+    first violation's text, or None.
+
+    The reference for `chartab.verify_orthogonality`, which checks
+    squareness and the column relation at pair conductors.  Sums run on
+    `ct.integer_columns`, which hold D·χ, so each sum is D² times its value;
+    both relations compare with D²·|G|·δ."""
+    e, D, columns = ct.integer_columns
+    conjugates = [[conjugate_mod(v, e) for v in column] for column in columns]
+    target = D * D * ct.group_order
+    sizes = ct.class_sizes
+    width = 2 * euler_phi(e) - 1
+
+    def holds(weighted_pairs, diagonal: bool) -> bool:
+        total = [0] * width
+        for weight, x, y in weighted_pairs:
+            for i, a in enumerate(x):
+                if a:
+                    a *= weight
+                    for k, b in enumerate(y, i):
+                        if b:
+                            total[k] += a * b
+        total = _reduce_mod(total, e)
+        expected = target if diagonal else 0
+        return total[0] == expected and not any(total[1:])
+
+    r = len(ct.rows)
+    for a in range(r):
+        for b in range(a, r):
+            pairs = zip(sizes, (col[a] for col in columns), (conj[b] for conj in conjugates))
+            if not holds(pairs, a == b):
+                return f"row orthogonality fails for rows {a}, {b}"
+    for k in range(len(sizes)):
+        for l in range(k, len(sizes)):
+            pairs = ((sizes[k], x, y) for x, y in zip(columns[k], conjugates[l]))
+            if not holds(pairs, k == l):
+                return f"column orthogonality fails for classes {k}, {l}"
+    return None
+
+
+def tampered(CT, delta, row=-1, column=-1):
+    """CT with delta (a Cyclotomic or a rational) added to one value, by
+    default the last value of its last row."""
     if not isinstance(delta, Cyclotomic):
         delta = Cyclotomic.from_rational(delta)
-    chi = CT.rows[-1]
-    values = chi.values[:-1] + (cyclotomic_sum([(1, [chi.values[-1]]), (1, [delta])]),)
-    return replace(CT, rows=CT.rows[:-1] + (Character(degree=chi.degree, values=values),))
+    chi = CT.rows[row]
+    values = list(chi.values)
+    values[column] = cyclotomic_sum([(1, [values[column]]), (1, [delta])])
+    rows = list(CT.rows)
+    rows[row] = Character(degree=chi.degree, values=tuple(values))
+    return replace(CT, rows=tuple(rows))

@@ -18,6 +18,7 @@ from conftest import (
     classed,
     cyclotomic_sum,
     tampered,
+    two_relation_violation,
 )
 from rigidity import chartab, cli
 from rigidity.chartab import (
@@ -102,6 +103,7 @@ def test_orthogonality_and_degree_sums():
     for G, CT in groups:
         violation = verify_orthogonality(CT)
         assert violation is None, violation
+        assert two_relation_violation(CT) is None
         assert sum(chi.degree ** 2 for chi in CT.rows) == G.order
         assert CT.integer_columns[1] == 1
 
@@ -122,11 +124,42 @@ def test_tampered_table_fails_orthogonality():
         for delta, denominator in ((zeta(5), 1), (Fraction(1, 2), 2))
     ]
     for name, delta, denominator in cases:
-        bad = tampered(charactered(name)[2], delta)
-        assert bad.integer_columns[1] == denominator
+        CT = charactered(name)[2]
+        middle = CT.num_classes // 2
+        # the last value, a value in a middle row and one in a middle column
+        for row, column in ((-1, -1), (middle, -1), (-1, middle)):
+            bad = tampered(CT, delta, row, column)
+            assert bad.integer_columns[1] == denominator
+            violation = verify_orthogonality(bad)
+            assert violation, (name, delta, row, column)
+            assert "orthogonality fails for" in violation
+            # the column relation alone rejects what both relations reject
+            assert two_relation_violation(bad) is not None
+
+
+def test_negated_degree_fails_off_the_diagonal():
+    # χ(1) ↦ −χ(1) keeps every column's norm, so only a pair of two
+    # different columns can show it
+    for name in ("Sym(3)", "Alt(5)", SL27):
+        CT = charactered(name)[2]
+        bad = tampered(CT, -2 * CT.rows[-1].degree, column=0)
         violation = verify_orthogonality(bad)
-        assert violation, (name, delta)
-        assert "orthogonality fails for" in violation
+        assert violation is not None and violation.startswith(
+            "column orthogonality fails for classes 0, "
+        )
+        assert violation != "column orthogonality fails for classes 0, 0"
+        assert two_relation_violation(bad) is not None
+
+
+def test_table_missing_a_row_fails_squareness():
+    for name in ("Sym(3)", "Alt(5)", SL27):
+        CT = charactered(name)[2]
+        short = replace(CT, rows=CT.rows[:-1])
+        r = CT.num_classes
+        assert verify_orthogonality(short) == (
+            f"orthogonality fails for a table of {r - 1} rows on {r} classes"
+        )
+        assert two_relation_violation(short) is not None
 
 
 def test_dixon_prime_selection():

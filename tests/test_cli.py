@@ -349,6 +349,40 @@ def test_sym8_character_table_output_is_pinned(capsys):
 
 
 @pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (
+            # SL(2,11): columns at conductors 1, 5, 11 and 12, the table at 660
+            "Mat(11, 2; [1 1 0 1], [0 10 1 0])",
+            "be66f4e0cbfdbd0d0c76c68f40c6889a9ec7b9aaaaf85d3a3fc3d580dfc57aaf",
+        ),
+        (
+            # SL(2,13): columns at conductors 1, 7, 12 and 13, the table at 1092
+            "Mat(13, 2; [1 1 0 1], [0 12 1 0])",
+            "b47156561eaaf5766b0f5bf0961e1411dd4533e4d6d0751d298335996fb35dd8",
+        ),
+        (
+            # columns at conductors 1, 3, 5 and 15
+            "Cyc(30)",
+            "8392768926be273e2b8ebed5c241c7c799444293c31b2151e84b81c19895d441",
+        ),
+        (
+            # GL(2,5): columns at conductors 1, 4 and 24
+            "Mat(5, 2; [2 0 0 1], [1 1 0 1], [0 4 1 0])",
+            "84c4a9a8c8194675f71acb3f248c17ed546b6f2ac1f92adaffa42ccd78f98401",
+        ),
+    ],
+    ids=["SL(2,11)", "SL(2,13)", "Cyc(30)", "GL(2,5)"],
+)
+def test_multi_conductor_table_outputs_are_pinned(capsys, spec, digest):
+    # columns at several conductors, so the orthogonality check pairs them at
+    # different lcms; recorded while it still ran at the table's one conductor
+    code, out, err = run(capsys, "chartab", spec)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "argv, digest",
     [
         (

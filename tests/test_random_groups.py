@@ -6,7 +6,12 @@ from itertools import combinations_with_replacement, product
 from math import factorial
 
 import pytest
-from conftest import FullScan, commutator_closure, fingerprint_reference
+from conftest import (
+    FullScan,
+    commutator_closure,
+    fingerprint_reference,
+    two_relation_violation,
+)
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
@@ -53,6 +58,7 @@ def check_tables_and_counts(G, T):
     """The invariants every group must satisfy; returns the character table."""
     CT = character_table(G, T)
     assert verify_orthogonality(CT) is None
+    assert two_relation_violation(CT) is None
     assert all(G.order % c.size == 0 for c in T.classes)
     assert count_equivalence(G, T, CT)[1] == []
     # the scan's orbits partition the solutions, each is an orbit of G, and
