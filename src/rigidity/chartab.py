@@ -57,9 +57,8 @@ from .conjugacy import ClassTable, power_classes
 from .cyclotomic import (
     Cyclotomic,
     _prime_factors,
-    _reduce_mod,
     conjugate_mod,
-    euler_phi,
+    dot_mod,
     integer_coordinates,
 )
 from .elements import row_reduce
@@ -130,19 +129,30 @@ class CharacterTable:
         return len(self.class_sizes)
 
     @cached_property
-    def integer_columns(self) -> tuple[int, int, tuple[tuple[tuple[int, ...], ...], ...]]:
-        """(e, D, columns) with columns[k][row] = D·χ_row(g_k) as an integer vector.
-
-        e is the lcm of the value conductors (1 for every symmetric group) and
-        D the common denominator of the lifted coordinates (1 for a true table).
-        """
-        e = lcm(*(v.conductor for row in self.rows for v in row.values))
-        h = len(self.rows)
-        D, vectors = integer_coordinates(
-            [row.values[k] for k in range(self.num_classes) for row in self.rows], e
+    def conductors(self) -> tuple[int, ...]:
+        """Per class k, the lcm of the conductors of the values χ(g_k)."""
+        return tuple(
+            lcm(*(row.values[k].conductor for row in self.rows))
+            for k in range(self.num_classes)
         )
-        columns = tuple(vectors[k * h : (k + 1) * h] for k in range(self.num_classes))
-        return e, D, columns
+
+    def column(self, k: int, c: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D_k, vectors), vectors[row] = D_k·χ_row(g_k) as an integer vector at
+        conductor c, D_k the column's common denominator (1 for a true table).
+
+        The one lift of table values; callers pass c = the lcm of the
+        conductors of the columns they read.  Memoized in `columns`."""
+        found = self.columns.get((k, c))
+        if found is None:
+            found = self.columns[k, c] = integer_coordinates(
+                [row.values[k] for row in self.rows], c
+            )
+        return found
+
+    @cached_property
+    def columns(self) -> dict:
+        """Memo of `column` by (class id, conductor); empty on every new table."""
+        return {}
 
     @cached_property
     def character_sums(self) -> dict:
@@ -384,44 +394,22 @@ def verify_orthogonality(ct: CharacterTable) -> str | None:
     square fails some relation, since h orthogonal nonzero rows in C^r and r
     orthogonal nonzero columns in C^h force h = r.
 
-    Pair (k, l) is checked at c = lcm of the two columns' conductors.  Each
-    column is lifted at most once per conductor it meets, to D_k·χ(g_k) with
-    D_k the column's own common denominator, so the relation is compared as
-    |C_k|·Σ_χ (D_k·χ(g_k))·(D_l·conj χ(g_l)) = δ_kl·D_k·D_l·|G|.  The products
-    are added unreduced and the sum is reduced mod Φ_c once."""
+    Pair (k, l) is checked at c = lcm of the two columns' conductors, on the
+    lifts `ct.column(k, c)` = (D_k, D_k·χ(g_k)), and each column is conjugated
+    at most once per conductor it meets.  So `dot_mod` compares
+    |C_k|·Σ_χ (D_k·χ(g_k))·(D_l·conj χ(g_l)) with δ_kl·D_k·D_l·|G|."""
     r = ct.num_classes
     if len(ct.rows) != r:
         return f"orthogonality fails for a table of {len(ct.rows)} rows on {r} classes"
-    conductors = [lcm(*(row.values[k].conductor for row in ct.rows)) for k in range(r)]
-    lifts: dict[tuple[int, int], tuple[int, tuple, list]] = {}
-
-    def lift(k: int, c: int) -> tuple[int, tuple, list]:
-        """(D_k, D_k·χ(g_k) and D_k·conj χ(g_k) for every χ) at conductor c."""
-        if (k, c) not in lifts:
-            D, vectors = integer_coordinates([row.values[k] for row in ct.rows], c)
-            lifts[k, c] = D, vectors, [conjugate_mod(v, c) for v in vectors]
-        return lifts[k, c]
-
+    conjugates: dict[tuple[int, int], list] = {}
     for k in range(r):
         for l in range(k, r):
-            c = lcm(conductors[k], conductors[l])
-            Dk, xs, _ = lift(k, c)
-            Dl, _, ys = lift(l, c)
-            width = 2 * euler_phi(c) - 1
-            if width == 1:
-                # c ≤ 2 (every Sym(n) table): the values are integers
-                total = [sum(x[0] * y[0] for x, y in zip(xs, ys))]
-            else:
-                # reduction mod Φ_c is a ring map: add up the plain polynomial
-                # products and reduce the sum once
-                total = [0] * width
-                for x, y in zip(xs, ys):
-                    for i, a in enumerate(x):
-                        if a:
-                            for j, b in enumerate(y, i):
-                                if b:
-                                    total[j] += a * b
-                total = _reduce_mod(total, c)
+            c = lcm(ct.conductors[k], ct.conductors[l])
+            Dk, xs = ct.column(k, c)
+            Dl, ys = ct.column(l, c)
+            if (l, c) not in conjugates:
+                conjugates[l, c] = [conjugate_mod(y, c) for y in ys]
+            total = dot_mod(xs, conjugates[l, c], c)
             expected = Dk * Dl * ct.group_order if k == l else 0
             if ct.class_sizes[k] * total[0] != expected or any(total[1:]):
                 return f"column orthogonality fails for classes {k}, {l}"

@@ -17,17 +17,17 @@ to one to the C_G(rep₁)-orbits of those starting with rep₁, and a G-orbit is
 C₁ (`conjugacy` guarantees it), so each orbit's least tuple starts with
 rep₁ and is the least tuple of its C_G(rep₁)-orbit.
 
-The character route computes with plain integers.  Each table value is held
-as D times its integer coordinates in the power basis at one conductor e per
-table (`CharacterTable.integer_columns`, e the lcm of the value conductors,
-D a common denominator), products are reduced mod Φ_e, each row is weighted
-by the integer (W/χ(1))^{s−2} with W the lcm of the degrees, and one exact
-integer division by D^s·W^{s−2}·|G| at the end gives the count.  The sum is
-memoized per table under the sorted class ids (`CharacterTable.character_sums`):
-the product of integer vectors mod Φ_e is commutative, so every ordering of
-a multiset of classes has the same sum, and `count_equivalence` computes one
-sum per multiset where it asks for two per ordered triple.  The scan never
-reads the memo.
+The character route computes with plain integers, at c = the lcm of the
+conductors of the classes it reads.  Each column is held as D_k times its
+integer coordinates in the power basis at c (`CharacterTable.column`), each
+row multiplies all columns but the last and is weighted by the integer
+(W/χ(1))^{s−2} with W the lcm of the degrees, one `dot_mod` against the last
+column sums the rows, and one exact integer division by W^{s−2}·∏D_k·|G|
+gives the count.  The sum is memoized per table under the sorted class ids
+(`CharacterTable.character_sums`): c depends only on the classes and the
+product mod Φ_c is commutative, so `count_equivalence` computes one sum per
+multiset where it asks for two per ordered triple.  The scan never reads the
+table or its memos.
 
 Solution sets are decomposed into orbits under simultaneous conjugation,
 g·(x₁,…,x_s) = (g⁻¹x₁g, …, g⁻¹x_sg); a tuple of classes is rigid when the
@@ -45,7 +45,7 @@ from math import lcm, prod
 
 from .chartab import CharacterTable
 from .conjugacy import ClassTable, classes_of_element_order
-from .cyclotomic import euler_phi, multiply_mod
+from .cyclotomic import dot_mod
 from .errors import CapExceededError, NonIntegerResultError, VerificationError
 from .groups import FiniteGroup, orbit_partition
 
@@ -123,30 +123,32 @@ def _check_routes(ids, count: int, scanned: int) -> None:
 def _character_sum(CT: CharacterTable, ids, power: int) -> tuple[tuple[int, ...], int]:
     """(total, scale) with Σ_χ ∏_i χ(g_i)/χ(1)^power = total/scale.
 
-    total = Σ_χ ∏_i D·χ(g_i) · (W/χ(1))^power is an integer vector at the
-    table's conductor e, with W the lcm of the degrees, and scale = D^s·W^power.
-    Memoized in CT.character_sums under the sorted ids: the product mod Φ_e
-    is commutative, so the sum depends only on the multiset of classes.
+    total = Σ_χ ∏_i D_i·χ(g_i) · (W/χ(1))^power is an integer vector at c, the
+    lcm of the classes' conductors, with D_i from `CT.column(i, c)` and W the
+    lcm of the degrees, and scale = W^power·∏_i D_i.  Memoized in
+    CT.character_sums under the sorted ids: the product mod Φ_c is
+    commutative, so the sum depends only on the multiset of classes.
     """
     key = (tuple(sorted(ids)), power)
     found = CT.character_sums.get(key)
     if found is not None:
         return found
-    e, D, columns = CT.integer_columns
+    c = lcm(*[CT.conductors[i] for i in key[0]])
+    lifts = [CT.column(i, c) for i in key[0]]
+    (_, first), *middle, (_, last) = lifts
     degrees = [row.degree for row in CT.rows]
     W = lcm(*degrees)
-    total = [0] * euler_phi(e)
-    first, *rest = key[0]
+    terms = []
     for row, degree in enumerate(degrees):
-        term = columns[first][row]
-        for i in rest:
+        term = first[row]
+        for _, vectors in middle:
             if not any(term):
                 break
-            term = multiply_mod(term, columns[i][row], e)
+            term = dot_mod((term,), (vectors[row],), c)
         weight = (W // degree) ** power
-        for k, c in enumerate(term):
-            total[k] += weight * c
-    found = CT.character_sums[key] = (tuple(total), D ** len(ids) * W**power)
+        terms.append(term if weight == 1 else [weight * x for x in term])
+    scale = W**power * prod([D for D, _ in lifts])
+    found = CT.character_sums[key] = (dot_mod(terms, last, c), scale)
     return found
 
 
@@ -179,7 +181,7 @@ def class_algebra_constant(CT: CharacterTable, x: int, y: int, z: int) -> int:
     Checking it in count_equivalence catches only a non-integer a_{xyz}
     (raised here) or CT.class_sizes[z] != T.classes[z].size.  The sum comes
     from the table's memo under the sorted ids, exact because the product
-    mod Φ_e is commutative; the division and its check are this function's
+    mod Φ_c is commutative; the division and its check are this function's
     own, so a_{xyz} is never derived from the count.
     """
     _check_ids((x, y, z), CT.num_classes)

@@ -25,9 +25,9 @@ the result.
 `from_exponent_map`, `zeta`), compared, hashed, ordered and printed, and
 has no arithmetic operators.  All arithmetic runs on integer vectors at one
 fixed conductor: `integer_coordinates` lifts values to integer power-basis
-vectors with one common denominator, `multiply_mod` multiplies two of them
-and `conjugate_mod` applies ζ ↦ ζ⁻¹ (complex conjugation), both reduced
-mod Φ_e without minimizing.
+vectors with one common denominator, `dot_mod` sums products of paired
+vectors and `conjugate_mod` applies ζ ↦ ζ⁻¹ (complex conjugation), both
+reduced mod Φ_e without minimizing.
 """
 
 from __future__ import annotations
@@ -218,7 +218,9 @@ class Cyclotomic:
         return cls._canonical(e, vec)
 
     def _lift(self, L: int) -> list[Fraction]:
-        """Coordinates of self in the power basis at conductor L."""
+        """Coordinates of self in the power basis at L, a multiple of its conductor."""
+        if L % self.conductor:
+            raise ValueError(f"conductor {L} is not a multiple of {self.conductor}")
         if L == self.conductor:
             vec = [_ZERO] * euler_phi(L)
             for k, c in self.coeffs.items():
@@ -272,8 +274,8 @@ class Cyclotomic:
 def integer_coordinates(values, e: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(D, vectors): D·v in the power basis at conductor e for each value v.
 
-    e must be a multiple of every value's conductor; D is the least common
-    denominator of all the lifted coordinates, so D = 1 for algebraic integers.
+    e must be a multiple of every value's conductor (ValueError otherwise); D is
+    the least common denominator of the lifted coordinates (1 for algebraic integers).
     """
     lifted = [v._lift(e) for v in values]
     D = lcm(*(c.denominator for vec in lifted for c in vec))
@@ -296,20 +298,23 @@ def _reduce_mod(coeffs: list[int], e: int) -> tuple[int, ...]:
     return tuple(coeffs[:n])
 
 
-def multiply_mod(a: tuple[int, ...], b: tuple[int, ...], e: int) -> tuple[int, ...]:
-    """Product of two integer power-basis vectors at conductor e, reduced mod Φ_e."""
-    n = len(a)
-    if n == 1:
-        # e = 1 (every Sym(n) table): the loops below give the same product,
-        # and skipping them halves the Sym(7) all-triples time
-        return (a[0] * b[0],)
-    prod = [0] * (2 * n - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] += x * y
-    return _reduce_mod(prod, e)
+def dot_mod(xs, ys, e: int) -> tuple[int, ...]:
+    """Σ x_i·y_i of paired integer power-basis vectors at conductor e; reduction
+    mod Φ_e is a ring map, so the plain products are added and reduced once."""
+    if e <= 2:
+        # φ(e) = 1 (every Sym(n) table): the vectors are integers
+        total = 0
+        for x, y in zip(xs, ys):
+            total += x[0] * y[0]
+        return (total,)
+    total = [0] * (2 * euler_phi(e) - 1)
+    for x, y in zip(xs, ys):
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y, i):
+                    if b:
+                        total[j] += a * b
+    return _reduce_mod(total, e)
 
 
 def conjugate_mod(vec: tuple[int, ...], e: int) -> tuple[int, ...]:

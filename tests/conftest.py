@@ -2,7 +2,8 @@
 brute-force centralizer, commutator-closure and fingerprint references, the
 whole class-matrix reference, the full-scan reference for solutions and
 orbits, the cyclotomic reference sum, the elimination-only canonical form,
-the two-relation orthogonality reference and tampered character tables."""
+the whole-table integer lift, the two-relation orthogonality reference and
+tampered character tables."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from rigidity.cyclotomic import (
     _zeta_powers,
     conjugate_mod,
     euler_phi,
+    integer_coordinates,
 )
 from rigidity.counting import Orbit
 from rigidity.groups import orbit, orbit_partition
@@ -165,7 +167,7 @@ def cyclotomic_sum(terms) -> Cyclotomic:
     the product 1).  Each product is convolved as an exponent map at the lcm
     L of all the conductors, and the sum is reduced once by
     `Cyclotomic.from_exponent_map`, so this reference shares no code with
-    `multiply_mod`.
+    `dot_mod`.
     """
     terms = [(Fraction(weight), tuple(factors)) for weight, factors in terms]
     L = lcm(1, *(f.conductor for _, factors in terms for f in factors))
@@ -211,15 +213,32 @@ def canonical_reference(e: int, mapping: dict) -> Cyclotomic:
     return Cyclotomic(e, {k: c for k, c in enumerate(vec) if c})
 
 
+def integer_table(ct):
+    """(e, D, columns): the whole table lifted at its one conductor e, the lcm
+    of all value conductors, with one common denominator D, so that
+    columns[k][row] = D·χ_row(g_k) as an integer vector.
+
+    Built by `integer_coordinates` directly, not through
+    `CharacterTable.column`, so the references below share no lift with the
+    code they check."""
+    e = lcm(*(v.conductor for row in ct.rows for v in row.values))
+    h = len(ct.rows)
+    D, vectors = integer_coordinates(
+        [row.values[k] for k in range(ct.num_classes) for row in ct.rows], e
+    )
+    return e, D, [vectors[k * h : (k + 1) * h] for k in range(ct.num_classes)]
+
+
 def two_relation_violation(ct) -> str | None:
     """Both orthogonality relations, each at the table's one conductor e: the
     first violation's text, or None.
 
     The reference for `chartab.verify_orthogonality`, which checks
     squareness and the column relation at pair conductors.  Sums run on
-    `ct.integer_columns`, which hold D·χ, so each sum is D² times its value;
-    both relations compare with D²·|G|·δ."""
-    e, D, columns = ct.integer_columns
+    `integer_table(ct)`, which holds D·χ, so each sum is D² times its value;
+    both relations compare with D²·|G|·δ, and products are added by a loop of
+    its own, not by `dot_mod`."""
+    e, D, columns = integer_table(ct)
     conjugates = [[conjugate_mod(v, e) for v in column] for column in columns]
     target = D * D * ct.group_order
     sizes = ct.class_sizes

@@ -6,6 +6,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -17,6 +18,7 @@ from conftest import (
     class_matrices,
     classed,
     cyclotomic_sum,
+    integer_table,
     tampered,
     two_relation_violation,
 )
@@ -28,7 +30,7 @@ from rigidity.chartab import (
     dixon_prime,
     verify_orthogonality,
 )
-from rigidity.cyclotomic import zeta
+from rigidity.cyclotomic import Cyclotomic, euler_phi, zeta
 from rigidity.elements import PrimeFieldMatrix
 from rigidity.errors import SplitFailureError, VerificationError
 from rigidity.murnaghan import murnaghan_nakayama
@@ -105,7 +107,7 @@ def test_orthogonality_and_degree_sums():
         assert violation is None, violation
         assert two_relation_violation(CT) is None
         assert sum(chi.degree ** 2 for chi in CT.rows) == G.order
-        assert CT.integer_columns[1] == 1
+        assert integer_table(CT)[1] == 1
 
 
 def test_first_row_is_trivial_character():
@@ -129,7 +131,7 @@ def test_tampered_table_fails_orthogonality():
         # the last value, a value in a middle row and one in a middle column
         for row, column in ((-1, -1), (middle, -1), (-1, middle)):
             bad = tampered(CT, delta, row, column)
-            assert bad.integer_columns[1] == denominator
+            assert integer_table(bad)[1] == denominator
             violation = verify_orthogonality(bad)
             assert violation, (name, delta, row, column)
             assert "orthogonality fails for" in violation
@@ -160,6 +162,28 @@ def test_table_missing_a_row_fails_squareness():
             f"orthogonality fails for a table of {r - 1} rows on {r} classes"
         )
         assert two_relation_violation(short) is not None
+
+
+def test_columns_are_the_whole_table_lift_at_each_conductor():
+    # SL(2,7): columns at conductors 1, 7 and 8, the table at 56
+    CT = replace(charactered(SL27)[2])
+    e, D, columns = integer_table(CT)
+    assert CT.conductors == (1, 1, 1, 1, 1, 7, 7, 8, 8, 7, 7)
+    assert lcm(*CT.conductors) == e == 56
+    for k, conductor in enumerate(CT.conductors):
+        assert CT.column(k, e) == (D, tuple(columns[k]))
+        # at the column's own conductor, coordinates that rebuild each value
+        own_D, vectors = CT.column(k, conductor)
+        assert own_D == 1
+        for row, v in zip(CT.rows, vectors):
+            assert len(v) == euler_phi(conductor)
+            assert Cyclotomic.from_exponent_map(conductor, dict(enumerate(v))) == row.values[k]
+        # a conductor that is not a multiple of the column's raises, and stores nothing
+        if conductor > 1:
+            with pytest.raises(ValueError, match="not a multiple"):
+                CT.column(k, conductor + 1)
+            assert (k, conductor + 1) not in CT.columns
+    assert replace(CT).columns == {}
 
 
 def test_dixon_prime_selection():

@@ -382,6 +382,18 @@ def test_multi_conductor_table_outputs_are_pinned(capsys, spec, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_multi_conductor_oracle_output_is_pinned(capsys):
+    # SL(2,11): 3375 class triples whose sums run at each multiset's
+    # conductor; recorded while every sum still ran at the table's 660
+    code, out, err = run(
+        capsys, "oracle", "Mat(11, 2; [1 1 0 1], [0 10 1 0])", "--format", "structured"
+    )
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b203913c3dffe77e712aca2e3fa4442e80edcd20fcc98bf0fdc4e01722fd85db"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [

@@ -6,12 +6,22 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import prod
+from math import lcm, prod
 
 import pytest
 
-from conftest import Q8, SL23, SL27, FullScan, charactered, cyclotomic_sum, tampered
+from conftest import (
+    Q8,
+    SL23,
+    SL27,
+    FullScan,
+    charactered,
+    cyclotomic_sum,
+    integer_table,
+    tampered,
+)
 from rigidity import counting
+from rigidity.chartab import verify_orthogonality
 from rigidity.conjugacy import conjugacy_classes
 from rigidity.counting import (
     abc_census,
@@ -143,7 +153,7 @@ def test_tampered_tables_match_the_reference():
         _, T, CT = charactered(name)
         for delta, denominator in ((zeta(5), 1), (Fraction(1, 2), 2)):
             bad = tampered(CT, delta)
-            assert bad.integer_columns[1] == denominator
+            assert integer_table(bad)[1] == denominator
             outcomes = []
             for ids in product(range(T.num_classes), repeat=3):
                 outcome = _outcome(frobenius_count, bad, ids)
@@ -181,7 +191,7 @@ def test_memoized_sums_equal_sums_on_a_fresh_table():
 
 
 class _StoreOnceMemo(dict):
-    """A character-sum memo that counts its stores and refuses a second store of a key."""
+    """A table memo that counts its stores and refuses a second store of a key."""
 
     stores = 0
 
@@ -198,6 +208,25 @@ def test_count_equivalence_computes_one_sum_per_multiset():
         memo = table.__dict__["character_sums"] = _StoreOnceMemo()
         assert count_equivalence(G, T, table) == (T.num_classes**3, [])
         assert memo.stores == multisets
+
+
+def test_each_column_is_lifted_once_per_conductor():
+    # the check and the character route share one lift per (class, conductor)
+    G, T, CT = charactered(SL27)
+    table = replace(CT)
+    memo = table.__dict__["columns"] = _StoreOnceMemo()
+    assert verify_orthogonality(table) is None
+    assert count_equivalence(G, T, table) == (T.num_classes**3, [])
+    r, conductors = T.num_classes, table.conductors
+    pairs = {(k, lcm(conductors[k], conductors[l])) for k in range(r) for l in range(r)}
+    triples = {
+        (i, lcm(*(conductors[j] for j in ids)))
+        for ids in combinations_with_replacement(range(r), 3)
+        for i in ids
+    }
+    assert set(memo) == pairs | triples
+    for ids in product(range(r), repeat=3):
+        assert frobenius_count(table, ids) == frobenius_count(CT, ids), ids
 
 
 # Sym(6) relabelled, so that its element indices and class representatives

@@ -14,8 +14,8 @@ from rigidity.cyclotomic import (
     conjugate_mod,
     cyclotomic_polynomial,
     euler_phi,
+    dot_mod,
     integer_coordinates,
-    multiply_mod,
     zeta,
 )
 
@@ -176,7 +176,7 @@ def test_subtraction_orientation():
         assert not hasattr(Cyclotomic, name), name
 
 
-def test_integer_coordinates_and_multiply_mod_agree_with_cyclotomic_products():
+def test_integer_coordinates_and_dot_mod_agree_with_cyclotomic_products():
     rng = random.Random(5)
     for e in (1, 3, 4, 5, 8, 12, 15, 56):
         for _ in range(20):
@@ -195,8 +195,38 @@ def test_integer_coordinates_and_multiply_mod_agree_with_cyclotomic_products():
             assert (va, vb, vab) == tuple(
                 tuple(D * c for c in value._lift(e)) for value in (a, b, ab)
             )
-            assert multiply_mod(va, vb, e) == tuple(D * c for c in vab)
+            assert dot_mod((va,), (vb,), e) == tuple(D * c for c in vab)
     D, ((x,), (y,)) = integer_coordinates(
         [Cyclotomic.from_rational(Fraction(3, 4)), Cyclotomic.from_rational(1)], 1
     )
     assert (D, x, y) == (4, 3, 4)
+
+
+def test_dot_mod_sums_products_of_pairs():
+    rng = random.Random(6)
+    for e in (1, 2, 3, 4, 5, 8, 12, 15, 56):
+        for pairs in (0, 1, 2, 5):
+            values = [
+                Cyclotomic.from_exponent_map(
+                    e, {rng.randrange(e): Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                        for _ in range(3)}
+                )
+                for _ in range(2 * pairs)
+            ]
+            xs, ys = values[:pairs], values[pairs:]
+            total = cyclotomic_sum((1, [x, y]) for x, y in zip(xs, ys))
+            D, vectors = integer_coordinates(values + [total], e)
+            *lifted, expected = vectors
+            assert dot_mod(lifted[:pairs], lifted[pairs:], e) == tuple(D * c for c in expected)
+
+
+def test_lift_needs_a_multiple_of_the_conductor():
+    # ζ₅ at conductor 11 has no coordinates; a silent lift would give ζ₁₁²
+    for values, e in (([zeta(5)], 11), ([zeta(5)], 6), ([zeta(4), zeta(3)], 4)):
+        with pytest.raises(ValueError, match="not a multiple"):
+            integer_coordinates(values, e)
+    # ζ₅ = ζ₁₅³ and ζ₃ = ζ₁₅⁵
+    assert integer_coordinates([zeta(5), zeta(3)], 15) == (
+        1,
+        ((0, 0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1, 0, 0)),
+    )
