@@ -27,7 +27,13 @@ has no arithmetic operators.  All arithmetic runs on integer vectors at one
 fixed conductor: `integer_coordinates` lifts values to integer power-basis
 vectors with one common denominator, `dot_mod` sums products of paired
 vectors and `conjugate_mod` applies ζ ↦ ζ⁻¹ (complex conjugation), both
-reduced mod Φ_e without minimizing.
+without minimizing.
+
+Every reduction mod Φ_e is one step, `_power_basis`: Σ c·ζ_e^k is summed from
+the cached power-basis coordinates of each ζ_e^k (`_zeta_powers`), for any
+integer k.  Building a value from an exponent map, lifting it to a multiple of
+its conductor, and the results of `dot_mod` and `conjugate_mod` all go
+through it.
 """
 
 from __future__ import annotations
@@ -119,6 +125,20 @@ def _zeta_powers(e: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _power_basis(terms, e: int) -> tuple:
+    """Power-basis coordinates at e of Σ c·ζ_e^k over the (k, c) pairs in terms:
+    k is any integer, taken mod e, and c an int or a Fraction.  Each ζ_e^k is
+    read off `_zeta_powers(e)`, so this is the one reduction mod Φ_e."""
+    powers = _zeta_powers(e)
+    vec = [0] * euler_phi(e)
+    for k, c in terms:
+        if c:
+            for i, b in enumerate(powers[k % e]):
+                if b:
+                    vec[i] += c * b
+    return tuple(vec)
+
+
 def _solve_exact(columns: list[tuple], target: list[Fraction]) -> list[Fraction] | None:
     """Solve Σ c_j·columns[j] = target over the rationals, or None."""
     rows = len(target)
@@ -171,7 +191,7 @@ class Cyclotomic:
         self.coeffs = coeffs
 
     @staticmethod
-    def _canonical(e: int, vec: list[Fraction]) -> "Cyclotomic":
+    def _canonical(e: int, vec: tuple[Fraction, ...]) -> "Cyclotomic":
         while any(vec[1:]):
             for p in _prime_factors(e):
                 if (e // p) % p:
@@ -198,42 +218,12 @@ class Cyclotomic:
         """Σ c_k ζ_e^k reduced to canonical form."""
         if e < 1:
             raise ValueError(f"conductor must be ≥ 1, got {e}")
+        terms = ((k, Fraction(c)) for k, c in mapping.items())
         if e % 4 == 2:
             # ζ_e = −ζ_e^{m+1} = −ζ_m^{(m+1)/2} with m = e/2 odd
-            m, half = e // 2, (e // 2 + 1) // 2
-            rewritten: dict[int, Fraction] = {}
-            for t, c in mapping.items():
-                k = t * half % m
-                rewritten[k] = rewritten.get(k, _ZERO) + (-c if t % 2 else c)
-            e, mapping = m, rewritten
-        powers = _zeta_powers(e)
-        vec = [_ZERO] * euler_phi(e)
-        for k, c in mapping.items():
-            c = Fraction(c)
-            if not c:
-                continue
-            for i, b in enumerate(powers[k % e]):
-                if b:
-                    vec[i] += c * b
-        return cls._canonical(e, vec)
-
-    def _lift(self, L: int) -> list[Fraction]:
-        """Coordinates of self in the power basis at L, a multiple of its conductor."""
-        if L % self.conductor:
-            raise ValueError(f"conductor {L} is not a multiple of {self.conductor}")
-        if L == self.conductor:
-            vec = [_ZERO] * euler_phi(L)
-            for k, c in self.coeffs.items():
-                vec[k] = c
-            return vec
-        step = L // self.conductor
-        powers = _zeta_powers(L)
-        vec = [_ZERO] * euler_phi(L)
-        for k, c in self.coeffs.items():
-            for i, b in enumerate(powers[(k * step) % L]):
-                if b:
-                    vec[i] += c * b
-        return vec
+            e, half = e // 2, (e // 2 + 1) // 2
+            terms = ((t * half, -c if t % 2 else c) for t, c in terms)
+        return cls._canonical(e, _power_basis(terms, e))
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -274,28 +264,24 @@ class Cyclotomic:
 def integer_coordinates(values, e: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(D, vectors): D·v in the power basis at conductor e for each value v.
 
-    e must be a multiple of every value's conductor (ValueError otherwise); D is
-    the least common denominator of the lifted coordinates (1 for algebraic integers).
+    e must be a multiple of every value's conductor (ValueError otherwise).  D
+    is the least common denominator of the values' own coordinates (1 for
+    algebraic integers); both power bases are integral bases, so D·v has
+    integer coordinates at e exactly when it has them at v's conductor, and
+    each value is lifted from the integers D·c.
     """
-    lifted = [v._lift(e) for v in values]
-    D = lcm(*(c.denominator for vec in lifted for c in vec))
+    for v in values:
+        if e % v.conductor:
+            raise ValueError(f"conductor {e} is not a multiple of {v.conductor}")
+    D = lcm(*(c.denominator for v in values for c in v.coeffs.values()))
     return D, tuple(
-        tuple(c.numerator * (D // c.denominator) for c in vec) for vec in lifted
+        _power_basis(
+            ((k * (e // v.conductor), c.numerator * (D // c.denominator))
+             for k, c in v.coeffs.items()),
+            e,
+        )
+        for v in values
     )
-
-
-def _reduce_mod(coeffs: list[int], e: int) -> tuple[int, ...]:
-    """Integer polynomial coeffs (low degree first, at least φ(e) of them)
-    reduced mod Φ_e to its φ(e) power-basis coordinates; overwrites coeffs."""
-    cp = cyclotomic_polynomial(e)
-    n = len(cp) - 1
-    # Φ_e is monic of degree n: x^k = x^{k-n}·(x^n − Φ_e) + lower terms
-    for k in range(len(coeffs) - 1, n - 1, -1):
-        c = coeffs[k]
-        if c:
-            for i in range(n):
-                coeffs[k - n + i] -= c * cp[i]
-    return tuple(coeffs[:n])
 
 
 def dot_mod(xs, ys, e: int) -> tuple[int, ...]:
@@ -314,16 +300,15 @@ def dot_mod(xs, ys, e: int) -> tuple[int, ...]:
                 for j, b in enumerate(y, i):
                     if b:
                         total[j] += a * b
-    return _reduce_mod(total, e)
+    return _power_basis(enumerate(total), e)
 
 
 def conjugate_mod(vec: tuple[int, ...], e: int) -> tuple[int, ...]:
-    """Image of an integer power-basis vector at conductor e under ζ ↦ ζ⁻¹,
-    reduced mod Φ_e."""
-    image = [0] * e
-    for k, c in enumerate(vec):
-        image[-k % e] += c
-    return _reduce_mod(image, e)
+    """Image of an integer power-basis vector at conductor e under ζ ↦ ζ⁻¹."""
+    if e <= 2:
+        # ζ = ±1 is its own inverse
+        return vec
+    return _power_basis(((-k, c) for k, c in enumerate(vec)), e)
 
 
 def zeta(e: int, k: int = 1) -> Cyclotomic:

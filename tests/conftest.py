@@ -1,9 +1,13 @@
 """Shared test helpers: one group pipeline cache keyed by spec text, the
 brute-force centralizer, commutator-closure and fingerprint references, the
 whole class-matrix reference, the full-scan reference for solutions and
-orbits, the cyclotomic reference sum, the elimination-only canonical form,
-the whole-table integer lift, the two-relation orthogonality reference and
-tampered character tables."""
+orbits, the cyclotomic reference sum, the long-division reduction mod Φ_e,
+the elimination-only canonical form, the whole-table integer lift, the
+two-relation orthogonality reference and tampered character tables.
+
+The cyclotomic reference sum reduces through `cyclotomic._power_basis` (by
+way of `Cyclotomic.from_exponent_map`), the one reduction of the program;
+`test_cyclotomic` checks that step against the long division."""
 
 from __future__ import annotations
 
@@ -19,10 +23,10 @@ from rigidity.chartab import Character
 from rigidity.cyclotomic import (
     Cyclotomic,
     _prime_factors,
-    _reduce_mod,
     _try_descend,
     _zeta_powers,
     conjugate_mod,
+    cyclotomic_polynomial,
     euler_phi,
     integer_coordinates,
 )
@@ -187,6 +191,24 @@ def cyclotomic_sum(terms) -> Cyclotomic:
     return Cyclotomic.from_exponent_map(L, total)
 
 
+def reduce_mod_reference(coeffs: list[int], e: int) -> tuple[int, ...]:
+    """Integer polynomial coeffs (low degree first, at least φ(e) of them)
+    reduced mod Φ_e to its φ(e) power-basis coordinates by long division;
+    overwrites coeffs.
+
+    The reference for `cyclotomic._power_basis`, which reads each ζ_e^k off
+    its table of powers instead."""
+    cp = cyclotomic_polynomial(e)
+    n = len(cp) - 1
+    # Φ_e is monic of degree n: x^k = x^{k-n}·(x^n − Φ_e) + lower terms
+    for k in range(len(coeffs) - 1, n - 1, -1):
+        c = coeffs[k]
+        if c:
+            for i in range(n):
+                coeffs[k - n + i] -= c * cp[i]
+    return tuple(coeffs[:n])
+
+
 def canonical_reference(e: int, mapping: dict) -> Cyclotomic:
     """`Cyclotomic.from_exponent_map(e, mapping)` by elimination only.
 
@@ -237,7 +259,7 @@ def two_relation_violation(ct) -> str | None:
     squareness and the column relation at pair conductors.  Sums run on
     `integer_table(ct)`, which holds D·χ, so each sum is D² times its value;
     both relations compare with D²·|G|·δ, and products are added by a loop of
-    its own, not by `dot_mod`."""
+    its own, not by `dot_mod`, and reduced by `reduce_mod_reference`."""
     e, D, columns = integer_table(ct)
     conjugates = [[conjugate_mod(v, e) for v in column] for column in columns]
     target = D * D * ct.group_order
@@ -253,7 +275,7 @@ def two_relation_violation(ct) -> str | None:
                     for k, b in enumerate(y, i):
                         if b:
                             total[k] += a * b
-        total = _reduce_mod(total, e)
+        total = reduce_mod_reference(total, e)
         expected = target if diagonal else 0
         return total[0] == expected and not any(total[1:])
 

@@ -371,8 +371,13 @@ def test_sym8_character_table_output_is_pinned(capsys):
             "Mat(5, 2; [2 0 0 1], [1 1 0 1], [0 4 1 0])",
             "84c4a9a8c8194675f71acb3f248c17ed546b6f2ac1f92adaffa42ccd78f98401",
         ),
+        (
+            # values at 18 are rewritten at 9, then every 3rd coordinate is read
+            "Cyc(18)",
+            "5bfe40f737b37b65526d744452c5c03cf7095abc5d87f8ddadc91492f39ed0c7",
+        ),
     ],
-    ids=["SL(2,11)", "SL(2,13)", "Cyc(30)", "GL(2,5)"],
+    ids=["SL(2,11)", "SL(2,13)", "Cyc(30)", "GL(2,5)", "Cyc(18)"],
 )
 def test_multi_conductor_table_outputs_are_pinned(capsys, spec, digest):
     # columns at several conductors, so the orthogonality check pairs them at

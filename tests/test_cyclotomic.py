@@ -8,9 +8,10 @@ from math import lcm
 
 import pytest
 
-from conftest import cyclotomic_sum
+from conftest import cyclotomic_sum, reduce_mod_reference
 from rigidity.cyclotomic import (
     Cyclotomic,
+    _power_basis,
     conjugate_mod,
     cyclotomic_polynomial,
     euler_phi,
@@ -121,11 +122,13 @@ def test_conjugation():
     _, (z, z_bar) = integer_coordinates([zeta(5), zeta(5, 4)], 5)
     assert conjugate_mod(z, 5) == z_bar
     assert conjugate_mod((1,), 1) == (1,)
+    # ζ₂ = −1 is its own inverse
+    assert conjugate_mod((-3,), 2) == (-3,)
     _, (v,) = integer_coordinates([Cyclotomic.from_exponent_map(7, {2: 1, 5: 1})], 7)
     assert conjugate_mod(v, 7) == v
-    # ζ^k ↦ ζ^−k on exponent maps, against the reduction mod Φ_e
+    # ζ^k ↦ ζ^−k on exponent maps, against values built from the mirrored map
     rng = random.Random(11)
-    for e in (1, 3, 4, 5, 8, 12, 15, 56):
+    for e in (1, 2, 3, 4, 5, 8, 12, 15, 56):
         for _ in range(10):
             mapping = {
                 rng.randrange(e): Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
@@ -190,11 +193,12 @@ def test_integer_coordinates_and_dot_mod_agree_with_cyclotomic_products():
             ab = cyclotomic_sum([(1, [a, b])])
             D, (va, vb, vab) = integer_coordinates([a, b, ab], e)
             assert all(len(v) == euler_phi(e) for v in (va, vb, vab))
-            lifted = [c for value in (a, b, ab) for c in value._lift(e)]
-            assert D == lcm(*(c.denominator for c in lifted))
-            assert (va, vb, vab) == tuple(
-                tuple(D * c for c in value._lift(e)) for value in (a, b, ab)
-            )
+            lifted = [
+                _power_basis(((k * (e // v.conductor), c) for k, c in v.coeffs.items()), e)
+                for v in (a, b, ab)
+            ]
+            assert D == lcm(*(c.denominator for vec in lifted for c in vec))
+            assert (va, vb, vab) == tuple(tuple(D * c for c in vec) for vec in lifted)
             assert dot_mod((va,), (vb,), e) == tuple(D * c for c in vab)
     D, ((x,), (y,)) = integer_coordinates(
         [Cyclotomic.from_rational(Fraction(3, 4)), Cyclotomic.from_rational(1)], 1
@@ -218,6 +222,18 @@ def test_dot_mod_sums_products_of_pairs():
             D, vectors = integer_coordinates(values + [total], e)
             *lifted, expected = vectors
             assert dot_mod(lifted[:pairs], lifted[pairs:], e) == tuple(D * c for c in expected)
+
+
+def test_power_basis_matches_long_division():
+    # exponents below 0 and at or past e, at conductors ≡ 2 mod 4 too
+    rng = random.Random(12)
+    for e in (1, 2, 3, 4, 5, 8, 9, 12, 15, 18, 56, 660, 1092):
+        for _ in range(10):
+            terms = [(rng.randrange(-2 * e, 3 * e), rng.randint(-5, 5)) for _ in range(6)]
+            coeffs = [0] * e
+            for k, c in terms:
+                coeffs[k % e] += c
+            assert _power_basis(terms, e) == reduce_mod_reference(coeffs, e)
 
 
 def test_lift_needs_a_multiple_of_the_conductor():
