@@ -75,12 +75,12 @@ def class_matrix_row(T: ClassTable, G: FiniteGroup, j: int, i: int) -> tuple[int
     also number |C_i| times that count.  The class algebra is commutative, so
     a_{jik} = a_{ijk}, and the count runs over the smaller of C_i and C_j.
     Each division must be exact; a remainder raises VerificationError."""
-    elements, index, class_of = G.elements, G.index, T.class_of
+    elements, index, mul, class_of = G.elements, G.index, G.kind.mul, T.class_of
     scanned, fixed = (i, j) if T.classes[i].size < T.classes[j].size else (j, i)
     y = elements[T.classes[fixed].representative]
     counts = [0] * len(T.classes)
     for x in T.classes[scanned].members:
-        counts[class_of[index[elements[x] * y]]] += 1
+        counts[class_of[index[mul(elements[x], y)]]] += 1
     size = T.classes[fixed].size
     row = []
     for k, n in enumerate(counts):

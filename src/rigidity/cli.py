@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import cache
 
 from . import __version__
 from .audit import run_audit
@@ -107,7 +108,7 @@ def _class_summary(G, T: ClassTable) -> list[dict]:
             "element-order": T.element_order_of_class[cls.id],
             "size": cls.size,
             "centralizer-order": cls.centralizer_order,
-            "representative": element_text(G.elements[cls.representative]),
+            "representative": element_text(G.element(cls.representative)),
         }
         for cls in T.classes
     ]
@@ -118,7 +119,7 @@ def cmd_order(args):
     body = {
         "order": G.order,
         "constructor": spec.constructor,
-        "generators": [element_text(G.elements[i]) for i in G.generator_indices],
+        "generators": [element_text(G.element(i)) for i in G.generator_indices],
     }
     return _envelope("order", args, body), EXIT_PASS
 
@@ -191,7 +192,7 @@ def cmd_count(args):
 
 def _orbit_body(G, orbit) -> dict:
     return {
-        "representative": [element_text(G.elements[x]) for x in orbit.representative],
+        "representative": [element_text(G.element(x)) for x in orbit.representative],
         "size": orbit.size,
         "stabilizer-order": orbit.stabilizer_order,
     }
@@ -290,7 +291,10 @@ def cmd_paper_audit(args):
     return report, code
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process:
+    `parse_args` returns a new namespace each call and changes no parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -371,9 +375,8 @@ _INPUT_ERRORS = (ValueError, IndexError)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code in (0, None):

@@ -5,8 +5,8 @@ stored generators only; that suffices because the generators generate, and it
 costs O(|G| · #generators) conjugations instead of O(|G|²).  Each step reads
 one entry of a generator's whole conjugation row
 (`FiniteGroup.conjugation_row`); for an enumerated group that row is built
-from the enumeration tree by list lookups, with one element inverse and no
-product.  The inverse class map takes one element inverse per class.
+from the enumeration tree by list lookups, with one key inverse and no
+product.  The inverse class map takes one key inverse per class.
 
 The class ordering convention is fixed project-wide: sort by (element order,
 class size, least member index).  The identity class therefore always gets
@@ -87,14 +87,15 @@ def conjugacy_classes(G: FiniteGroup) -> ClassTable:
 def power_classes(T: ClassTable) -> tuple[tuple[int, ...], ...]:
     """Per class id, the class ids of c⁰, c¹, …, c^{o−1}, o the element order."""
     G = T.group
+    mul, index = G.kind.mul, G.index
     result = []
     for c in T.classes:
         x = G.elements[c.representative]
         acc = G.elements[0]
         pcs = []
         for _ in range(T.element_order_of_class[c.id]):
-            pcs.append(T.class_of[G.index[acc]])
-            acc = acc * x
+            pcs.append(T.class_of[index[acc]])
+            acc = mul(acc, x)
         result.append(tuple(pcs))
     return tuple(result)
 

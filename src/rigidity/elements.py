@@ -1,23 +1,30 @@
-"""Concrete group element realizations and row reduction mod p.
+"""Group elements as raw keys, their arithmetic, and row reduction mod p.
 
 Two element kinds are supported: permutations of {0, ..., degree-1} and square
-matrices over a prime field F_p.  Both expose the same small surface (product,
-inverse, identity, canonical byte encoding) so the enumeration machinery in
-`groups` can stay agnostic of the realization.
+matrices over a prime field F_p.  A group (`groups.FiniteGroup`) holds its
+elements as keys: a permutation's images, stored as `bytes` up to degree 256
+and as a tuple past it, or a matrix's tuple of entry rows.  Keys hash and
+compare as plain `bytes` or tuples, and `bytes` caches its hash, so an index
+lookup calls no Python-level `__hash__` or `__eq__`.
 
-The public constructors (`Permutation(images)`, `Permutation.identity`,
+An element kind (`permutation_kind(degree)`, `matrix_kind(p, n)`, one object
+per degree or per (p, n)) does the arithmetic on keys: `mul(a, b)` is the key
+of the product a·b, `inverse(a)` the key of a⁻¹, `identity` the identity's
+key, and `wrap(key)` the element object a key stands for.  A byte-image
+product is one `bytes.translate` call and an inverse one `bytes.maketrans`
+call; a matrix product is one pass of row-by-column sums mod p.  Keys are
+valid by construction, so the kind checks no shape, modulus or type.
+
+`Permutation` and `PrimeFieldMatrix` are the objects at the edges: spec
+parsing, printed output, cycle types and the tests.  Their public
+constructors (`Permutation(images)`, `Permutation.identity`,
 `Permutation.from_cycles`, `PrimeFieldMatrix(p, entries)`,
 `PrimeFieldMatrix.identity`, `PrimeFieldMatrix.from_flat`) validate their
-input.  Products and inverses of valid elements are valid by construction, so
-they are built unchecked: `object.__new__`, then the slots are set, with no
-`sorted(images)` check and no reduction mod p.  `__mul__` still rejects
-factors of different degree or modulus.  An element hashes as its images or
-its entry rows, so a lookup in a group's index builds no key tuple.
-
-A permutation of degree at most 256 stores its images as `bytes`: a product
-is one `bytes.translate` call, an inverse one `bytes.maketrans` call, and
-`bytes` caches its hash, so each index lookup after the first hashes nothing.
-Larger degrees store an image tuple.  `encode` is the same for both.
+input; `key` is the key an object stands for and `kind` its element kind.
+`__mul__` rejects factors of different degree or modulus, then calls its
+kind's `mul`, and `inverse` its kind's `inverse`, so each kind has exactly one
+product path.  An element hashes as its key.  `encode` is the same for both
+image forms.
 
 `row_reduce` is the one Gauss–Jordan elimination over F_p: matrix inverses
 here and the eigenspace split in `chartab` both call it.
@@ -26,17 +33,15 @@ here and the eigenspace split in `chartab` both call it.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
-from typing import Union
+from operator import mul as _times
 
 from .errors import IncompatibleGeneratorsError, SingularMatrixError
 
 
 _new = object.__new__
 
-# up to this degree images are bytes; _PAD[d] pads d images to a translate table
+# up to this degree images are bytes, padded to a 256-byte translate table
 _BYTE_DEGREE = 256
-_PAD = [bytes(_BYTE_DEGREE - d) for d in range(_BYTE_DEGREE + 1)]
 
 
 def _images(ints):
@@ -45,9 +50,53 @@ def _images(ints):
     return bytes(images) if len(images) <= _BYTE_DEGREE else images
 
 
+class PermutationKind:
+    """Arithmetic on the image keys of the permutations of one degree.
+
+    `mul(a, b)` is the key of a∘b, (a∘b)(x) = a(b(x)).  Both operations are
+    plain functions chosen once for the degree, so a call looks up no
+    attribute and tests no image form."""
+
+    __slots__ = ("degree", "identity", "mul", "inverse")
+
+    def __init__(self, degree: int):
+        self.degree = degree
+        self.identity = identity = _images(range(degree))
+        if degree <= _BYTE_DEGREE:
+            pad = bytes(_BYTE_DEGREE - degree)
+
+            def mul(a, b):
+                return b.translate(a + pad)
+
+            def inverse(a):
+                # a translate table that maps a[i] to i, cut back to the degree
+                return bytes.maketrans(a, identity)[:degree]
+
+        else:
+
+            def mul(a, b):
+                return tuple([a[x] for x in b])
+
+            def inverse(a):
+                images = [0] * degree
+                for i, x in enumerate(a):
+                    images[x] = i
+                return tuple(images)
+
+        self.mul = mul
+        self.inverse = inverse
+
+    def wrap(self, key) -> "Permutation":
+        """The permutation a key stands for, built with no check."""
+        result = _new(Permutation)
+        result.degree = self.degree
+        result.images = key
+        return result
+
+
 @lru_cache(maxsize=None)
-def _identity_images(degree: int):
-    return _images(range(degree))
+def permutation_kind(degree: int) -> PermutationKind:
+    return PermutationKind(degree)
 
 
 class Permutation:
@@ -66,14 +115,6 @@ class Permutation:
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
         return cls(range(degree))
-
-    @classmethod
-    def _unchecked(cls, degree: int, images) -> "Permutation":
-        """A permutation from images already valid and in their stored form."""
-        result = _new(cls)
-        result.degree = degree
-        result.images = images
-        return result
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> "Permutation":
@@ -96,6 +137,14 @@ class Permutation:
             result = cls(images) * result
         return result
 
+    @property
+    def kind(self) -> PermutationKind:
+        return permutation_kind(self.degree)
+
+    @property
+    def key(self):
+        return self.images
+
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Function composition: (self * other)(x) = self(other(x))."""
         if not isinstance(other, Permutation):
@@ -104,34 +153,15 @@ class Permutation:
             raise IncompatibleGeneratorsError(
                 f"degree mismatch: {self.degree} vs {other.degree}"
             )
-        degree, s = self.degree, self.images
-        # built inline, as in `_unchecked`: a classmethod call would cost
-        # more than the translate
-        result = _new(Permutation)
-        result.degree = degree
-        if degree <= _BYTE_DEGREE:
-            result.images = other.images.translate(s + _PAD[degree])
-        else:
-            result.images = tuple([s[x] for x in other.images])
-        return result
+        kind = self.kind
+        return kind.wrap(kind.mul(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        degree, s = self.degree, self.images
-        if degree <= _BYTE_DEGREE:
-            # a translate table that maps s[i] to i, cut back to the degree
-            images = bytes.maketrans(s, _identity_images(degree))[:degree]
-        else:
-            inverse = [0] * degree
-            for i, x in enumerate(s):
-                inverse[x] = i
-            images = tuple(inverse)
-        return Permutation._unchecked(degree, images)
-
-    def identity_element(self) -> "Permutation":
-        return Permutation.identity(self.degree)
+        kind = self.kind
+        return kind.wrap(kind.inverse(self.images))
 
     def is_identity(self) -> bool:
-        return self.images == _identity_images(self.degree)
+        return self.images == self.kind.identity
 
     def encode(self) -> bytes:
         """Canonical encoding; lexicographic order matches image-tuple order.
@@ -208,6 +238,45 @@ def row_reduce(rows, ncols: int, p: int):
     return m, pivots
 
 
+class MatrixKind:
+    """Arithmetic on the entry-row keys of the n×n matrices over F_p.
+
+    `inverse` of a singular key raises SingularMatrixError."""
+
+    __slots__ = ("p", "n", "identity", "mul", "inverse")
+
+    def __init__(self, p: int, n: int):
+        self.p, self.n = p, n
+        self.identity = identity = _identity_rows(n)
+
+        def mul(a, b):
+            cols = tuple(zip(*b))
+            return tuple([tuple([sum(map(_times, row, col)) % p for col in cols]) for row in a])
+
+        def inverse(a):
+            m = [list(row) + list(unit) for row, unit in zip(a, identity)]
+            reduced, pivots = row_reduce(m, n, p)
+            if len(pivots) < n:
+                raise SingularMatrixError(f"matrix is singular mod {p}: {a!r}")
+            return tuple([tuple(row[n:]) for row in reduced])
+
+        self.mul = mul
+        self.inverse = inverse
+
+    def wrap(self, key) -> "PrimeFieldMatrix":
+        """The matrix a key stands for, built with no check."""
+        result = _new(PrimeFieldMatrix)
+        result.p = self.p
+        result.n = self.n
+        result.entries = key
+        return result
+
+
+@lru_cache(maxsize=None)
+def matrix_kind(p: int, n: int) -> MatrixKind:
+    return MatrixKind(p, n)
+
+
 class PrimeFieldMatrix:
     """A square matrix over F_p with entries reduced to [0, p)."""
 
@@ -227,20 +296,19 @@ class PrimeFieldMatrix:
         return cls(p, _identity_rows(n))
 
     @classmethod
-    def _unchecked(cls, p: int, n: int, entries: tuple) -> "PrimeFieldMatrix":
-        """A matrix from rows already square and reduced to [0, p)."""
-        result = _new(cls)
-        result.p = p
-        result.n = n
-        result.entries = entries
-        return result
-
-    @classmethod
     def from_flat(cls, p: int, n: int, flat) -> "PrimeFieldMatrix":
         flat = list(flat)
         if len(flat) != n * n:
             raise ValueError(f"expected {n * n} entries, got {len(flat)}")
         return cls(p, [flat[i * n : (i + 1) * n] for i in range(n)])
+
+    @property
+    def kind(self) -> MatrixKind:
+        return matrix_kind(self.p, self.n)
+
+    @property
+    def key(self) -> tuple:
+        return self.entries
 
     def __mul__(self, other: "PrimeFieldMatrix") -> "PrimeFieldMatrix":
         if not isinstance(other, PrimeFieldMatrix):
@@ -249,13 +317,8 @@ class PrimeFieldMatrix:
             raise IncompatibleGeneratorsError(
                 f"matrix shape/modulus mismatch: ({self.n}, {self.p}) vs ({other.n}, {other.p})"
             )
-        p = self.p
-        cols = tuple(zip(*other.entries))
-        return PrimeFieldMatrix._unchecked(
-            p,
-            self.n,
-            tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in self.entries]),
-        )
+        kind = self.kind
+        return kind.wrap(kind.mul(self.entries, other.entries))
 
     def determinant(self) -> int:
         """Determinant mod p by fraction-free elimination."""
@@ -278,18 +341,11 @@ class PrimeFieldMatrix:
         return det % p
 
     def inverse(self) -> "PrimeFieldMatrix":
-        p, n = self.p, self.n
-        m = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.entries)]
-        reduced, pivots = row_reduce(m, n, p)
-        if len(pivots) < n:
-            raise SingularMatrixError(f"matrix is singular mod {p}: {self.entries!r}")
-        return PrimeFieldMatrix._unchecked(p, n, tuple([tuple(row[n:]) for row in reduced]))
-
-    def identity_element(self) -> "PrimeFieldMatrix":
-        return PrimeFieldMatrix.identity(self.p, self.n)
+        kind = self.kind
+        return kind.wrap(kind.inverse(self.entries))
 
     def is_identity(self) -> bool:
-        return self.entries == _identity_rows(self.n)
+        return self.entries == self.kind.identity
 
     def encode(self) -> bytes:
         """Canonical encoding; lexicographic order matches row-major entry order."""
@@ -323,6 +379,3 @@ class PrimeFieldMatrix:
 @lru_cache(maxsize=None)
 def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-GroupElement = Union[Permutation, PrimeFieldMatrix]

@@ -1,10 +1,15 @@
 """Enumeration of finite groups and index-based group arithmetic.
 
-A group is materialized as a list of concrete elements (permutations or
-matrices over a prime field) discovered breadth-first from the identity by
+A group is materialized as a list of raw keys (see `elements`): a
+permutation's images as `bytes` up to degree 256 and as a tuple past it, or
+a matrix's tuple of entry rows.  `index` maps each key to its position, and
+the group's element kind, taken from the first generator, multiplies and
+inverts keys.  The keys are discovered breadth-first from the identity by
 right-multiplication with a deduplicated, canonically sorted generator list.
 Element 0 is always the identity and the discovery order is deterministic, so
-two runs over the same generators produce identical tables.
+two runs over the same generators produce identical tables.  No group
+operation builds an element object; `element(i)` wraps key i as a
+`Permutation` or `PrimeFieldMatrix` for printing and for the tests.
 
 After enumeration all arithmetic is done on element indices.  `mult`
 memoizes products in one row of |G| ints per left factor, each entry filled
@@ -19,16 +24,16 @@ computes x·g for every element x and stored generator g and keeps the index
 it finds as R_g.  Being breadth-first, it first meets each k ≠ 0 as R_h[x]
 for its parent x in the Schreier tree, so the R rows hold the tree, and left
 multiplication by any c is a row of lookups: L_c[0] = c, L_c[k] = R_h[L_c[x]].
-A stored generator's row C_g = R_g ∘ L_{g⁻¹} thus takes one element inverse
+A stored generator's row C_g = R_g ∘ L_{g⁻¹} thus takes one key inverse
 and no product; it is built whole on first use (`conjugation_row`), and the
 R rows are dropped once every stored generator has its row.  Groups wrapped
-from a closed element list (`from_closed_elements`) keep no R rows and build
-a generator's row by element arithmetic.  Any other conjugator's row is
-filled an entry at a time by element arithmetic.  The conjugators the program
+from a closed key list (`from_closed_elements`) keep no R rows and build
+a generator's row by key arithmetic.  Any other conjugator's row is
+filled an entry at a time by key arithmetic.  The conjugators the program
 uses are the stored generators, the centralizer generators of class
 representatives and the entries that seed a census fingerprint.  Inverses
 are memoized per element; no whole-group inverse map is built.  Subgroup
-generation and the centralizer transversal use element arithmetic, which
+generation and the centralizer transversal use key arithmetic, which
 fills no row.  Centralizer generators are memoized per element; the scan
 asks only for class representatives.  Element orders are not memoized.
 
@@ -50,7 +55,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 
-from .elements import GroupElement, Permutation, PrimeFieldMatrix
+from .elements import Permutation, PrimeFieldMatrix, matrix_kind
 from .errors import (
     CapExceededError,
     IncompatibleGeneratorsError,
@@ -94,22 +99,27 @@ def orbit_partition(points, gens, act):
 
 
 class FiniteGroup:
-    """A fully enumerated finite group; element 0 is the identity."""
+    """A fully enumerated finite group; element 0 is the identity.
 
-    def __init__(self, elements: list, generator_indices, index=None, right_rows=None):
+    `elements` holds keys and `index` maps each key to its position; `kind`
+    does the arithmetic on keys (see `elements`).  `element(i)` is the
+    element object at index i."""
+
+    def __init__(self, kind, elements: list, generator_indices, index=None, right_rows=None):
         """elements is kept as given, not copied.  index, when given, maps
-        each element to its position.  right_rows, when given, holds one row
+        each key to its position.  right_rows, when given, holds one row
         per stored generator g, in the order of generator_indices, of the
         indices of x·g over all x, as a breadth-first enumeration found them.
 
         Two memos grow on demand, each one row of |G| ints: products by left
         factor (`mult`) and conjugations by conjugator (`conjugate`)."""
-        self.elements: list[GroupElement] = elements
+        self.kind = kind
+        self.elements: list = elements
         if index is None:
             index = {g: i for i, g in enumerate(self.elements)}
             if len(index) != len(self.elements):
                 raise ValueError("duplicate elements in group table")
-        self.index: dict[GroupElement, int] = index
+        self.index: dict = index
         self.generator_indices: tuple[int, ...] = tuple(generator_indices)
         self._right_rows: list[list[int]] | None = right_rows
         self._rows: list[list[int] | None] = [None] * len(self.elements)
@@ -118,8 +128,8 @@ class FiniteGroup:
         self._centralizers: dict[int, tuple[int, ...]] = {}
 
     @classmethod
-    def from_closed_elements(cls, elements: list) -> "FiniteGroup":
-        """Wrap an already-closed element list (identity first) as a group.
+    def from_closed_elements(cls, kind, elements: list) -> "FiniteGroup":
+        """Wrap an already-closed key list (identity first) as a group.
 
         The generating set is chosen by `_greedy_generators` over indices
         1..n-1; the list is closed unless a product it forms is not in it.
@@ -127,9 +137,9 @@ class FiniteGroup:
         elements = list(elements)
         if not elements:
             raise ValueError("empty element list")
-        if not elements[0].is_identity():
+        if elements[0] != kind.identity:
             raise ValueError("element 0 must be the identity")
-        group = cls(elements, [])
+        group = cls(kind, elements, [])
         try:
             gens, _ = group._greedy_generators(range(1, len(elements)))
         except KeyError:
@@ -144,6 +154,11 @@ class FiniteGroup:
     @property
     def identity_index(self) -> int:
         return 0
+
+    def element(self, i: int):
+        """The element object (`Permutation` or `PrimeFieldMatrix`) at index i."""
+        self._check_index(i)
+        return self.kind.wrap(self.elements[i])
 
     def _check_index(self, i: int) -> None:
         if not isinstance(i, int) or not 0 <= i < len(self.elements):
@@ -168,31 +183,33 @@ class FiniteGroup:
             if row is None:
                 self._check_index(j)
                 row = self._rows[i] = [-1] * len(self.elements)
-            k = row[j] = self.index[self.elements[i] * self.elements[j]]
+            elements = self.elements
+            k = row[j] = self.index[self.kind.mul(elements[i], elements[j])]
         return k
 
     def inverse(self, i: int) -> int:
-        """Index of elements[i]⁻¹, by element arithmetic, memoized per element."""
+        """Index of elements[i]⁻¹, by key arithmetic, memoized per element."""
         try:
             return self._inverses[i]
         except KeyError:
             self._check_index(i)
-            k = self._inverses[i] = self.index[self.elements[i].inverse()]
+            k = self._inverses[i] = self.index[self.kind.inverse(self.elements[i])]
             return k
 
     def conjugation_row(self, g: int) -> list[int]:
         """The whole row of a stored generator g: g⁻¹xg's index at position x.
 
         Built on first use and memoized: from the enumeration's R rows by list
-        lookups while the group keeps them, else by element arithmetic."""
+        lookups while the group keeps them, else by key arithmetic."""
         row = self._conjugates.get(g)
         if row is None:
             if g not in self.generator_indices:
                 raise ValueError(f"element {g!r} is not a stored generator")
             rights, elements = self._right_rows, self.elements
             if rights is None:
+                mul, index = self.kind.mul, self.index
                 right, left = elements[g], elements[self.inverse(g)]
-                row = [self.index[left * x * right] for x in elements]
+                row = [index[mul(mul(left, x), right)] for x in elements]
             else:
                 # L_{g⁻¹} in enumeration order: R_h[x] is new exactly when it
                 # is the next index, and then L[R_h[x]] = R_h[L[x]]
@@ -216,8 +233,8 @@ class FiniteGroup:
         """Index of g⁻¹ x g for x = elements[i], memoized in g's row.
 
         A stored generator's row is `conjugation_row`, built whole; any other
-        row is filled an entry at a time by element arithmetic.  As in
-        `mult`, an index past the end is checked only where it would fail."""
+        row is filled an entry at a time by key arithmetic.  As in `mult`, an
+        index past the end is checked only where it would fail."""
         if i < 0 or g < 0:
             self._check_index(min(i, g))
         try:
@@ -235,19 +252,20 @@ class FiniteGroup:
             self._check_index(i)
             raise
         if k < 0:
-            elements = self.elements
+            elements, mul = self.elements, self.kind.mul
             k = row[i] = self.index[
-                elements[self.inverse(g)] * elements[i] * elements[g]
+                mul(mul(elements[self.inverse(g)], elements[i]), elements[g])
             ]
         return k
 
     def element_order(self, i: int) -> int:
         """Least k ≥ 1 with elements[i]^k = identity, by repeated products."""
         self._check_index(i)
+        mul, identity = self.kind.mul, self.kind.identity
         x = self.elements[i]
         power, k = x, 1
-        while not power.is_identity():
-            power, k = power * x, k + 1
+        while power != identity:
+            power, k = mul(power, x), k + 1
         return k
 
     def _greedy_generators(self, seed) -> tuple[list[int], set[int]]:
@@ -255,13 +273,13 @@ class FiniteGroup:
         not yet generated by those kept so far, at one `orbit` of index 0 per
         index kept.  The walk is deterministic, so equal inputs give equal
         choices.  A product outside the element list raises KeyError."""
-        elements, index = self.elements, self.index
+        elements, index, mul = self.elements, self.index, self.kind.mul
         kept: list[int] = []
         covered = {0}
         for x in seed:
             if x not in covered:
                 kept.append(x)
-                covered = orbit(0, kept, lambda y, g: index[elements[y] * elements[g]])
+                covered = orbit(0, kept, lambda y, g: index[mul(elements[y], elements[g])])
         return kept, covered
 
     def centralizer_generators(self, i: int) -> tuple[int, ...]:
@@ -277,6 +295,7 @@ class FiniteGroup:
         gens = self._centralizers.get(i)
         if gens is None:
             elements, index = self.elements, self.index
+            mul, inverse = self.kind.mul, self.kind.inverse
             transversal = {i: elements[0]}
             queue = [i]
             schreier = set()
@@ -284,12 +303,12 @@ class FiniteGroup:
                 u = transversal[y]
                 for g in self.generator_indices:
                     z = self.conjugate(y, g)
-                    ug = u * elements[g]
+                    ug = mul(u, elements[g])
                     if z not in transversal:
                         transversal[z] = ug
                         queue.append(z)
                     else:
-                        schreier.add(index[ug * transversal[z].inverse()])
+                        schreier.add(index[mul(ug, inverse(transversal[z]))])
             kept, _ = self._greedy_generators(sorted(schreier))
             gens = self._centralizers[i] = tuple(kept)
         return gens
@@ -305,14 +324,15 @@ class FiniteGroup:
     def derived_subgroup(self) -> set[int]:
         """Index set of the commutator subgroup: the subgroup generated by the
         conjugacy classes of the stored generators' commutators.  These are
-        formed by element arithmetic, so no `mult` row is filled."""
+        formed by key arithmetic, so no `mult` row is filled."""
         gens = self.generator_indices
         elements, index = self.elements, self.index
+        mul, inverse = self.kind.mul, self.kind.inverse
         conjugates = set()
         for a in gens:
             for b in gens:
                 x, y = elements[a], elements[b]
-                c = index[x.inverse() * y.inverse() * x * y]
+                c = index[mul(mul(mul(inverse(x), inverse(y)), x), y)]
                 if c not in conjugates:
                     conjugates |= orbit(c, gens, self.conjugate)
         return self.subgroup_generated(conjugates)
@@ -324,7 +344,7 @@ class FiniteGroup:
             self._check_index(i)
         if not idx or idx[0] != 0:
             raise ValueError("subgroup must contain the identity (index 0)")
-        return FiniteGroup.from_closed_elements([self.elements[i] for i in idx])
+        return FiniteGroup.from_closed_elements(self.kind, [self.elements[i] for i in idx])
 
     def fingerprint(self, seed=None) -> tuple:
         """(order, sorted class sizes, sorted (element order, count) pairs).
@@ -346,12 +366,13 @@ class FiniteGroup:
         return (len(members), tuple(sorted(sizes)), tuple(sorted(profile.items())))
 
     def __repr__(self):
-        kind = type(self.elements[0]).__name__
+        kind = type(self.element(0)).__name__
         return f"FiniteGroup(order={self.order}, realization={kind})"
 
 
 def closure_enumerate(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
-    """Enumerate the group generated by gens, breadth-first from the identity."""
+    """Enumerate the group generated by the element objects gens,
+    breadth-first from the identity, on keys of the first generator's kind."""
     gens = list(gens)
     if not gens:
         raise ValueError("at least one generator required")
@@ -365,15 +386,16 @@ def closure_enumerate(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
         for g in gens:
             if g.determinant() == 0:
                 raise SingularMatrixError(f"generator is singular mod {g.p}: {g!r}")
-    unique = sorted({g.encode(): g for g in gens}.values(), key=lambda g: g.encode())
-    identity = first.identity_element()
-    elements = [identity]
-    index = {identity: 0}
+    unique = [g.key for _, g in sorted({g.encode(): g for g in gens}.items())]
+    kind = first.kind
+    mul = kind.mul
+    elements = [kind.identity]
+    index = {kind.identity: 0}
     # right[k][x] is the index of elements[x] * unique[k], the index dict's own int
     right = [[] for _ in unique]
     for x in elements:
         for g, row in zip(unique, right):
-            y = x * g
+            y = mul(x, g)
             k = index.get(y)
             if k is None:
                 if len(elements) >= cap:
@@ -384,15 +406,16 @@ def closure_enumerate(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
                 elements.append(y)
             row.append(k)
     gen_indices = [index[g] for g in unique]
-    return FiniteGroup(elements, gen_indices, index, right)
+    return FiniteGroup(kind, elements, gen_indices, index, right)
 
 
 def so3_enumerate(p: int) -> FiniteGroup:
     """All 3×3 matrices M over F_p with M·Mᵀ = I and det M = 1.
 
     Exhaustive scan in row-major lexicographic order with row-level pruning;
-    the surviving matrices appear in exactly the order a naive scan of all p⁹
-    candidates would produce.  The identity is then moved to the front.
+    the surviving matrices, as entry-row keys, appear in exactly the order a
+    naive scan of all p⁹ candidates would produce.  The identity is then
+    moved to the front.
     """
     if p not in (3, 5, 7):
         raise UnsupportedModulusError(
@@ -419,11 +442,11 @@ def so3_enumerate(p: int) -> FiniteGroup:
                     + r1[2] * (r2[0] * r3[1] - r2[1] * r3[0])
                 ) % p
                 if det == 1:
-                    mats.append(PrimeFieldMatrix(p, (r1, r2, r3)))
-    ident = PrimeFieldMatrix.identity(p, 3)
-    mats.remove(ident)
-    mats.insert(0, ident)
-    return FiniteGroup.from_closed_elements(mats)
+                    mats.append((r1, r2, r3))
+    kind = matrix_kind(p, 3)
+    mats.remove(kind.identity)
+    mats.insert(0, kind.identity)
+    return FiniteGroup.from_closed_elements(kind, mats)
 
 
 def _check_known_order(order: int, label: str, cap: int) -> None:

@@ -87,7 +87,7 @@ def mn_value(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 def murnaghan_nakayama(T: ClassTable) -> CharacterTable:
     """Character table of Sym(n), n ≤ 7, in the class order of its class table T."""
     G = T.group
-    reps = [G.elements[c.representative] for c in T.classes]
+    reps = [G.element(c.representative) for c in T.classes]
     if not all(isinstance(rep, Permutation) for rep in reps):
         raise ValueError("not a permutation group; the oracle needs a class table of Sym(n)")
     n = reps[0].degree

@@ -1,4 +1,5 @@
 """Shared test helpers: one group pipeline cache keyed by spec text, the
+image-list and entry-list references for key arithmetic, the
 brute-force centralizer, commutator-closure and fingerprint references, the
 whole class-matrix reference, the full-scan reference for solutions and
 orbits, the cyclotomic reference sum, the long-division reduction mod Φ_e,
@@ -45,11 +46,57 @@ classed = _PIPELINES.classes
 charactered = _PIPELINES.characters
 
 
+def compose_images(a, b) -> list[int]:
+    """Images of a∘b from image lists: (a∘b)(x) = a[b[x]]."""
+    return [a[x] for x in b]
+
+
+def invert_images(a) -> list[int]:
+    """Images of a⁻¹ from an image list: the position of each point in a."""
+    a = list(a)
+    return [a.index(x) for x in range(len(a))]
+
+
+def multiply_entries(a, b, p: int) -> list[list[int]]:
+    """Entry rows of a·b mod p, from entry rows, by the textbook triple sum."""
+    n = len(a)
+    return [[sum(a[i][t] * b[t][j] for t in range(n)) % p for j in range(n)] for i in range(n)]
+
+
+def _minor(a, row: int, col: int):
+    return [r[:col] + r[col + 1 :] for k, r in enumerate(a) if k != row]
+
+
+def determinant_entries(a, p: int) -> int:
+    """Determinant mod p of entry rows by Laplace expansion along row 0."""
+    if not a:
+        return 1
+    a = [list(r) for r in a]
+    return sum(
+        (-1) ** j * a[0][j] * determinant_entries(_minor(a, 0, j), p) for j in range(len(a))
+    ) % p
+
+
+def invert_entries(a, p: int) -> list[list[int]]:
+    """Entry rows of a⁻¹ mod p as det⁻¹ times the adjugate; a must be invertible."""
+    a = [list(r) for r in a]
+    scale = pow(determinant_entries(a, p), -1, p)
+    return [
+        [(-1) ** (i + j) * determinant_entries(_minor(a, j, i), p) * scale % p for j in range(len(a))]
+        for i in range(len(a))
+    ]
+
+
+def wrapped(G) -> list:
+    """Every element of G as an object, in index order: `G.element(i)` at i."""
+    return [G.element(i) for i in range(G.order)]
+
+
 def centralizer(G, i: int) -> set[int]:
-    """Indices of all elements commuting with G.elements[i], by |G| products
+    """Indices of all elements commuting with element i, by |G| products
     each way: the reference for `FiniteGroup.centralizer_generators`."""
-    x = G.elements[i]
-    return {j for j, y in enumerate(G.elements) if x * y == y * x}
+    x = G.element(i)
+    return {j for j, y in enumerate(wrapped(G)) if x * y == y * x}
 
 
 def commutator_closure(G) -> set[int]:
@@ -58,9 +105,9 @@ def commutator_closure(G) -> set[int]:
     Brute force by element arithmetic, with all the commutators as generators
     of one `orbit` call: no conjugation row and no greedy choice of generators.
     """
-    inverses = [(a.inverse(), a) for a in G.elements]
+    inverses = [(a.inverse(), a) for a in wrapped(G)]
     commutators = {ai * bi * a * b for ai, a in inverses for bi, b in inverses}
-    return {G.index[x] for x in orbit(G.elements[0], commutators, mul)}
+    return {G.index[x.key] for x in orbit(G.element(0), commutators, mul)}
 
 
 def fingerprint_reference(G, seed) -> tuple:
@@ -71,7 +118,7 @@ def fingerprint_reference(G, seed) -> tuple:
     each order is found by naive powers.  No index, row or class sweep of G
     is used.
     """
-    elements = G.elements
+    elements = wrapped(G)
     members = orbit(elements[0], [elements[i] for i in set(seed)], mul)
     inverses = [(h.inverse(), h) for h in members]
     sizes, classed = [], set()
@@ -103,16 +150,16 @@ def class_matrices(T, G, ids=None) -> list[ClassMatrix]:
     The whole-matrix reference for `chartab.class_matrix_row`: it tallies
     y = x⁻¹·rep_k over x ∈ C_j, where the split counts x·y_i per row."""
     r = len(T.classes)
-    reps = [G.elements[c.representative] for c in T.classes]
+    reps = [G.element(c.representative) for c in T.classes]
     out = []
     for j in range(r) if ids is None else ids:
         c = T.classes[j]
         entries = [[0] * r for _ in range(r)]
         for x in c.members:
             # xy = z  ⟺  y = x⁻¹z; tally the class y lands in
-            xi = G.elements[G.inverse(x)]
+            xi = G.element(G.inverse(x))
             for k, z in enumerate(reps):
-                entries[T.class_of[G.index[xi * z]]][k] += 1
+                entries[T.class_of[G.index[(xi * z).key]]][k] += 1
         out.append(ClassMatrix(j=c.id, entries=tuple(tuple(row) for row in entries)))
     return out
 

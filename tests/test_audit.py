@@ -24,5 +24,7 @@ def test_pipelines_instances_share_no_objects():
     for x, y in zip(built_a, built_b):
         assert x is not y
     Ga, Gb = built_a[0], built_b[0]
-    assert Ga.elements == Gb.elements
-    assert not any(x is y for x, y in zip(Ga.elements, Gb.elements))
+    assert Ga.elements == Gb.elements and Ga.elements is not Gb.elements
+    # keys are immutable, and the identity key is the element kind's own
+    assert Ga.elements[0] is Ga.kind.identity is Gb.elements[0]
+    assert not any(x is y for x, y in zip(Ga.elements[1:], Gb.elements[1:]))

@@ -21,6 +21,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_process(argv, **env):
+    """`python -m rigidity.cli` on argv in a new interpreter, with env added."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "rigidity.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True, text=True, timeout=300,
+    )
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "structured")
     assert code == 0, err or out
@@ -473,6 +484,41 @@ def test_class_outputs_are_pinned(capsys, spec, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# a diagonal Alt(5): one 5-cycle on 0..4 and one on the top five points
+_TUPLE_IMAGES = "Perm(257; (0 1 2 3 4)(252 253 254 255 256), (0 1 2)(252 253 254))"
+_BYTE_IMAGES = "Perm(256; (0 1 2 3 4)(251 252 253 254 255), (0 1 2)(251 252 253))"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("classes", _TUPLE_IMAGES),
+            "a1847a344ffb1d6283ae4617e320318d97bdf779ec156838ace3d6e48134ccb9",
+        ),
+        (
+            ("rigid", _TUPLE_IMAGES, "2", "3", "5"),
+            "518b8521251d91236f7f62957efa615b72d3588f1c5b8b6e0a6bc172ae314962",
+        ),
+        (
+            ("classes", _BYTE_IMAGES),
+            "9587d344077523e94bd7066de5e9d64a5c858040c6592d4bc18969129305c550",
+        ),
+        (
+            ("rigid", _BYTE_IMAGES, "2", "3", "5"),
+            "d41a096dfb92779ca3010dc2a1fceaad409e0337c08f7ba0bfa9e94d2d3c16d1",
+        ),
+    ],
+    ids=["classes-degree-257", "rigid-degree-257", "classes-degree-256", "rigid-degree-256"],
+)
+def test_image_storage_outputs_are_pinned(capsys, argv, digest):
+    # degree 257 stores images as a tuple, degree 256 as bytes; recorded
+    # while group elements were still Permutation objects
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -611,18 +657,30 @@ def test_subgroup_closure_outputs_are_pinned(capsys, argv, digest):
 def test_stdout_is_the_same_under_every_hash_seed(argv):
     # permutations hash as their image bytes, and a bytes hash is salted per
     # process, so output that followed the set order of elements would differ
-    src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
     for seed in ("0", "1", "2"):
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
-        done = subprocess.run(
-            [sys.executable, "-m", "rigidity.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
+        done = fresh_process(argv, PYTHONHASHSEED=seed)
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_main_called_again_in_one_process_prints_what_a_fresh_process_prints(capsys):
+    # one parser serves every call, so no call may leave state for the next:
+    # the defaults of --format and of the repeatable --section must come back
+    argvs = [
+        ("paper-audit", "--section", "1", "--section", "5", "--format", "text"),
+        ("order", "Sym(4)", "--format", "structured"),
+        ("paper-audit", "--section", "1"),
+        ("classes", "Alt(4)"),
+        ("rigid", "Sym(4)", "2", "3", "4", "--format", "structured"),
+        ("order", "Sym(4)"),
+        ("paper-audit", "--section", "5"),
+    ]
+    in_process = [run(capsys, *argv) for argv in argvs]
+    for argv, (code, out, err) in zip(argvs, in_process):
+        done = fresh_process(argv)
+        assert (code, out, err) == (done.returncode, done.stdout, done.stderr), argv
 
 
 def test_rigid_order_mode_needs_three(capsys):

@@ -6,9 +6,22 @@ import random
 from itertools import permutations, product
 
 import pytest
+from conftest import (
+    compose_images,
+    determinant_entries,
+    invert_entries,
+    invert_images,
+    multiply_entries,
+)
 
 from rigidity.chartab import _kernel_mod, _restriction
-from rigidity.elements import Permutation, PrimeFieldMatrix, row_reduce
+from rigidity.elements import (
+    Permutation,
+    PrimeFieldMatrix,
+    matrix_kind,
+    permutation_kind,
+    row_reduce,
+)
 from rigidity.errors import (
     IncompatibleGeneratorsError,
     SingularMatrixError,
@@ -215,6 +228,47 @@ def test_unchecked_matrix_products_equal_validated_ones():
             assert inv == want and hash(inv) == hash(want) and (inv.p, inv.n) == (p, n)
             assert (a * inv).is_identity() and (inv * a).is_identity()
         assert a.is_identity() == (a == PrimeFieldMatrix.identity(p, n))
+
+
+def test_permutation_kind_matches_image_list_arithmetic():
+    # keys are bytes up to degree 256 and a tuple past it
+    rng = random.Random(26)
+    for n in (*range(1, 9), 255, 256, 257):
+        kind = permutation_kind(n)
+        form = bytes if n <= 256 else tuple
+        assert type(kind.identity) is form and list(kind.identity) == list(range(n))
+        for _ in range(20):
+            a, b = rng.sample(range(n), n), rng.sample(range(n), n)
+            ka, kb = form(a), form(b)
+            product, inverse = kind.mul(ka, kb), kind.inverse(ka)
+            assert type(product) is form and list(product) == compose_images(a, b)
+            assert type(inverse) is form and list(inverse) == invert_images(a)
+            assert kind.mul(ka, kind.identity) == ka == kind.mul(kind.identity, ka)
+            element = kind.wrap(product)
+            assert type(element) is Permutation and element.degree == n
+            assert list(element.images) == compose_images(a, b)
+
+
+def test_matrix_kind_matches_entry_list_arithmetic():
+    rng = random.Random(26)
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in (2, 3):
+            kind = matrix_kind(p, n)
+            assert kind.identity == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            for _ in range(15):
+                a, b = ([[rng.randrange(p) for _ in range(n)] for _ in range(n)] for _ in range(2))
+                ka, kb = (tuple(map(tuple, m)) for m in (a, b))
+                product = kind.mul(ka, kb)
+                assert product == tuple(map(tuple, multiply_entries(a, b, p)))
+                assert kind.mul(ka, kind.identity) == ka == kind.mul(kind.identity, ka)
+                if determinant_entries(a, p):
+                    assert kind.inverse(ka) == tuple(map(tuple, invert_entries(a, p)))
+                else:
+                    with pytest.raises(SingularMatrixError):
+                        kind.inverse(ka)
+                element = kind.wrap(product)
+                assert type(element) is PrimeFieldMatrix and (element.p, element.n) == (p, n)
+                assert element.entries == product
 
 
 def test_products_of_products_still_check_degree_and_modulus():

@@ -98,7 +98,7 @@ def test_oracle_matches_eigenvalue_route_on_relabelled_generators(spec):
     # class representatives here differ from those of Sym(n)
     G, T, CT = charactered(spec)
     oracle = murnaghan_nakayama(T)
-    assert G.order == factorial(G.elements[0].degree)
+    assert G.order == factorial(G.element(0).degree)
     assert oracle.group_order == CT.group_order
     assert oracle.class_sizes == CT.class_sizes
     assert oracle.class_orders == CT.class_orders
@@ -112,7 +112,7 @@ def test_table_shape_and_keys():
     assert len(ct.rows) == 7
     assert sum(ct.class_sizes) == 120
     # column k is keyed by the cycle type of class k's representative
-    types = [cycle_type(G.elements[c.representative]) for c in T.classes]
+    types = [cycle_type(G.element(c.representative)) for c in T.classes]
     assert ct.class_sizes == tuple(c.size for c in T.classes)
     assert ct.class_sizes == tuple(map(class_size_of_type, types))
     assert ct.class_orders == tuple(T.element_order_of_class)

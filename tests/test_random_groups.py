@@ -11,12 +11,13 @@ from conftest import (
     commutator_closure,
     fingerprint_reference,
     two_relation_violation,
+    wrapped,
 )
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from rigidity.chartab import character_table, verify_orthogonality
+from rigidity.chartab import character_table, class_matrix_row, verify_orthogonality
 from rigidity.conjugacy import conjugacy_classes
 from rigidity.counting import count_equivalence, rigidity_verdict
 from rigidity.elements import Permutation, PrimeFieldMatrix
@@ -60,6 +61,10 @@ def check_tables_and_counts(G, T):
     assert verify_orthogonality(CT) is None
     assert two_relation_violation(CT) is None
     assert all(G.order % c.size == 0 for c in T.classes)
+    # the class algebra is commutative, so row i of A_j is row j of A_i; for
+    # classes of equal size the two calls scan different classes
+    for i, j in combinations_with_replacement(range(T.num_classes), 2):
+        assert class_matrix_row(T, G, j, i) == class_matrix_row(T, G, i, j), (i, j)
     assert count_equivalence(G, T, CT)[1] == []
     # the scan's orbits partition the solutions, each is an orbit of G, and
     # they are the orbits the full scan finds without fixing x₁ = rep₁
@@ -78,10 +83,10 @@ def check_tables_and_counts(G, T):
         assert G.fingerprint(seed) == fingerprint_reference(G, seed)
 
     # each stored generator's row and the class partition, against element arithmetic
-    els, index = G.elements, G.index
+    els, index = wrapped(G), G.index
     gens = [(els[g].inverse(), els[g]) for g in G.generator_indices]
     for g, (hi, h) in zip(G.generator_indices, gens):
-        assert G.conjugation_row(g) == [index[hi * x * h] for x in els]
+        assert G.conjugation_row(g) == [index[(hi * x * h).key] for x in els]
     orbits = set()
     for x in els:
         members, queue = {x}, [x]
@@ -91,7 +96,7 @@ def check_tables_and_counts(G, T):
                 if z not in members:
                     members.add(z)
                     queue.append(z)
-        orbits.add(frozenset(index[y] for y in members))
+        orbits.add(frozenset(index[y.key] for y in members))
     assert orbits == {frozenset(c.members) for c in T.classes}
 
     # the derived subgroup: the commutator closure, normal under the stored generators
