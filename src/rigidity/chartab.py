@@ -63,7 +63,7 @@ from .cyclotomic import (
 )
 from .elements import row_reduce
 from .errors import SplitFailureError, VerificationError
-from .groups import FiniteGroup, _is_prime
+from .groups import FiniteGroup
 
 
 def class_matrix_row(T: ClassTable, G: FiniteGroup, j: int, i: int) -> tuple[int, ...]:
@@ -99,7 +99,7 @@ def dixon_prime(exponent: int, group_order: int) -> int:
         raise ValueError(f"exponent must be ≥ 1, got {exponent}")
     candidate = exponent + 1
     for _ in range(1_000_000):
-        if _is_prime(candidate) and candidate * candidate > 4 * group_order:
+        if _prime_factors(candidate) == [candidate] and candidate * candidate > 4 * group_order:
             return candidate
         candidate += exponent
     raise SplitFailureError("prime search exhausted its iteration bound")

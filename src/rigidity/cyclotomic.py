@@ -11,15 +11,15 @@ Conductor minimization reads the power-basis coordinates first.  A value
 whose coordinates past the first are all 0 is rational.  When p² | e,
 Φ_e(x) = Φ_{e/p}(x^p) and Q(ζ_e) = ⊕_{i<p} ζ_e^i·Q(ζ_{e/p}), so the value lies
 in Q(ζ_{e/p}) exactly when its coordinates off the multiples of p vanish, and
-its coordinates there are every p-th one.  Only a prime dividing e exactly
-once needs a linear system: the value lies in Q(ζ_{e/p}), ζ_{e/p} = ζ_e^p,
-exactly when the system over that subfield's basis vectors is solvable.  An
-exponent map at e = 2m, m odd, is first rewritten at m by
-ζ_e^t = (−1)^t·ζ_m^{t(m+1)/2}, since Q(ζ_e) = Q(ζ_m); a descent by an odd
-prime can still leave such an e, which the system for p = 2 then drops.  So
-stored conductors are never ≡ 2 mod 4.  The minimal conductor and the
-coordinates over it are unique, so the order of the descents does not change
-the result.
+its coordinates there are every p-th one.  When p divides e exactly once,
+the relative trace to Q(ζ_m), m = e/p, decides it (`_descend_by_trace`): the
+value lies there exactly when its trace over p − 1, read at m and lifted back
+by ζ_m = ζ_e^p, is the value again, and those coordinates at m are then its
+own.  Neither descent solves a linear system; both steps of the trace are the
+one reduction mod Φ_e.  For e = 2m, m odd, Q(ζ_e) = Q(ζ_m) and the trace for
+p = 2 is the identity, so every value descends from such an e and stored
+conductors are never ≡ 2 mod 4.  The minimal conductor and the coordinates
+over it are unique, so the order of the descents does not change the result.
 
 `Cyclotomic` is a value type: it is built (`from_rational`,
 `from_exponent_map`, `zeta`), compared, hashed, ordered and printed, and
@@ -139,45 +139,18 @@ def _power_basis(terms, e: int) -> tuple:
     return tuple(vec)
 
 
-def _solve_exact(columns: list[tuple], target: list[Fraction]) -> list[Fraction] | None:
-    """Solve Σ c_j·columns[j] = target over the rationals, or None."""
-    rows = len(target)
-    cols = len(columns)
-    mat = [[Fraction(columns[j][i]) for j in range(cols)] + [target[i]] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if mat[i][cols] != 0:
-            return None
-    solution = [_ZERO] * cols
-    for i, c in enumerate(pivots):
-        solution[c] = mat[i][cols]
-    # free columns (value 0) only arise if the columns are dependent; they are
-    # basis vectors of a subfield here, so this does not happen in practice
-    return solution
+def _descend_by_trace(e: int, vec: tuple, p: int) -> tuple | None:
+    """Coordinates at m = e/p of the value with coordinates vec at e, or None
+    when it does not lie in Q(ζ_m); p must divide e exactly once.
 
-
-def _try_descend(e: int, vec: list[Fraction], p: int) -> list[Fraction] | None:
-    """Rewrite vec over the basis of Q(ζ_{e/p}) if the value lies there."""
-    e2 = e // p
-    powers = _zeta_powers(e)
-    columns = [powers[(p * j) % e] for j in range(euler_phi(e2))]
-    return _solve_exact(columns, vec)
+    ζ_e^k = ζ_p^{k·s}·ζ_m^{k·t} with s = m⁻¹ mod p and t = p⁻¹ mod m, and the
+    trace from Q(ζ_e) to Q(ζ_m) sends ζ_p^a to p − 1 when p | a and to −1
+    otherwise, so w = Tr(v)/(p − 1) is v itself when v lies in Q(ζ_m).  The
+    value lies there exactly when w, lifted back by ζ_m = ζ_e^p, is v."""
+    m = e // p
+    t, off = pow(p, -1, m), Fraction(-1, p - 1)
+    w = _power_basis(((k * t, c if k % p == 0 else c * off) for k, c in enumerate(vec)), m)
+    return w if _power_basis(((p * j, c) for j, c in enumerate(w)), e) == vec else None
 
 
 class Cyclotomic:
@@ -195,7 +168,7 @@ class Cyclotomic:
         while any(vec[1:]):
             for p in _prime_factors(e):
                 if (e // p) % p:
-                    sub = _try_descend(e, vec, p)
+                    sub = _descend_by_trace(e, vec, p)
                     if sub is None:
                         continue
                 elif any(c for i, c in enumerate(vec) if i % p):
@@ -219,10 +192,6 @@ class Cyclotomic:
         if e < 1:
             raise ValueError(f"conductor must be ≥ 1, got {e}")
         terms = ((k, Fraction(c)) for k, c in mapping.items())
-        if e % 4 == 2:
-            # ζ_e = −ζ_e^{m+1} = −ζ_m^{(m+1)/2} with m = e/2 odd
-            e, half = e // 2, (e // 2 + 1) // 2
-            terms = ((t * half, -c if t % 2 else c) for t, c in terms)
         return cls._canonical(e, _power_basis(terms, e))
 
     def is_rational(self) -> bool:

@@ -55,6 +55,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 
+from .cyclotomic import _prime_factors
 from .elements import Permutation, PrimeFieldMatrix, matrix_kind
 from .errors import (
     CapExceededError,
@@ -463,19 +464,6 @@ def _check_factorial_cap(n: int, divisor: int, label: str, cap: int) -> None:
             raise CapExceededError(f"{label} has order exceeding cap {cap}")
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def sym_group(n: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Symmetric group on {0, ..., n-1}."""
     if n < 1:
@@ -560,10 +548,10 @@ def perm_group(degree: int, generator_cycles, cap: int = DEFAULT_CAP) -> FiniteG
 
 def mat_group(p: int, n: int, flat_matrices, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Group generated by explicit n×n matrices over F_p (row-major entries)."""
-    if not _is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
     if p >= 1 << 16:
         raise ValueError(f"modulus {p} too large (must be < 2^16)")
+    if _prime_factors(p) != [p]:
+        raise ValueError(f"modulus {p} is not prime")
     if n < 1:
         raise ValueError(f"dimension must be ≥ 1, got {n}")
     gens = [PrimeFieldMatrix.from_flat(p, n, flat) for flat in flat_matrices]

@@ -3,8 +3,9 @@ image-list and entry-list references for key arithmetic, the
 brute-force centralizer, commutator-closure and fingerprint references, the
 whole class-matrix reference, the full-scan reference for solutions and
 orbits, the cyclotomic reference sum, the long-division reduction mod Φ_e,
-the elimination-only canonical form, the whole-table integer lift, the
-two-relation orthogonality reference and tampered character tables.
+the conductor descent by elimination over Q with the canonical form built on
+it alone, the whole-table integer lift, the two-relation orthogonality
+reference and tampered character tables.
 
 The cyclotomic reference sum reduces through `cyclotomic._power_basis` (by
 way of `Cyclotomic.from_exponent_map`), the one reduction of the program;
@@ -24,7 +25,6 @@ from rigidity.chartab import Character
 from rigidity.cyclotomic import (
     Cyclotomic,
     _prime_factors,
-    _try_descend,
     _zeta_powers,
     conjugate_mod,
     cyclotomic_polynomial,
@@ -256,12 +256,59 @@ def reduce_mod_reference(coeffs: list[int], e: int) -> tuple[int, ...]:
     return tuple(coeffs[:n])
 
 
+def solve_exact(columns: list[tuple], target: list[Fraction]) -> list[Fraction] | None:
+    """Solve Σ c_j·columns[j] = target over the rationals, or None."""
+    rows = len(target)
+    cols = len(columns)
+    mat = [[Fraction(columns[j][i]) for j in range(cols)] + [target[i]] for i in range(rows)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(rows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if mat[i][cols] != 0:
+            return None
+    solution = [Fraction(0)] * cols
+    for i, c in enumerate(pivots):
+        solution[c] = mat[i][cols]
+    # free columns (value 0) only arise if the columns are dependent; they are
+    # basis vectors of a subfield here, so this does not happen in practice
+    return solution
+
+
+def descend_by_elimination(e: int, vec: list[Fraction], p: int) -> list[Fraction] | None:
+    """Rewrite vec over the basis of Q(ζ_{e/p}) if the value lies there.
+
+    The reference for `cyclotomic._descend_by_trace`: it solves for the
+    coordinates over the subfield's basis vectors ζ_e^{p·j}, for any prime p
+    dividing e."""
+    e2 = e // p
+    powers = _zeta_powers(e)
+    columns = [powers[(p * j) % e] for j in range(euler_phi(e2))]
+    return solve_exact(columns, vec)
+
+
 def canonical_reference(e: int, mapping: dict) -> Cyclotomic:
     """`Cyclotomic.from_exponent_map(e, mapping)` by elimination only.
 
-    The vector is built at e itself, with no rewrite of e ≡ 2 (mod 4), and
-    each descent solves the linear system of `_try_descend`, trying the prime
-    factors of e in ascending order, until none applies."""
+    The vector is built at e itself, and each descent solves the linear
+    system of `descend_by_elimination` over the rationals, trying the prime
+    factors of e in ascending order, until none applies.  The program reads
+    no such system: it descends by the relative trace where p divides e once
+    and by coordinates where p² divides e."""
     powers = _zeta_powers(e)
     vec = [Fraction(0)] * euler_phi(e)
     for k, c in mapping.items():
@@ -273,7 +320,7 @@ def canonical_reference(e: int, mapping: dict) -> Cyclotomic:
         if e == 1:
             break
         for p in _prime_factors(e):
-            sub = _try_descend(e, vec, p)
+            sub = descend_by_elimination(e, vec, p)
             if sub is not None:
                 e, vec = e // p, sub
                 break

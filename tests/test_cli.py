@@ -383,7 +383,7 @@ def test_sym8_character_table_output_is_pinned(capsys):
             "84c4a9a8c8194675f71acb3f248c17ed546b6f2ac1f92adaffa42ccd78f98401",
         ),
         (
-            # values at 18 are rewritten at 9, then every 3rd coordinate is read
+            # values at 18 descend to 9 by the trace for p = 2, then every 3rd coordinate is read
             "Cyc(18)",
             "5bfe40f737b37b65526d744452c5c03cf7095abc5d87f8ddadc91492f39ed0c7",
         ),

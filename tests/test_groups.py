@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from conftest import Q8, Q8_FLATS, SL23, SL27, centralizer, commutator_closure, group, wrapped
 
+from rigidity import groups
 from rigidity.conjugacy import conjugacy_classes
 from rigidity.elements import Permutation, PrimeFieldMatrix
 from rigidity.errors import (
@@ -465,6 +466,16 @@ def test_mat_group_validation():
     with pytest.raises(ValueError):
         mat_group(3, 0, [()])
     assert mat_group(3, 2, Q8_FLATS).order == 8
+
+
+def test_mat_group_refuses_a_large_modulus_before_testing_primality(monkeypatch):
+    # trial division of the prime 2^61 − 1 would run about 1.5·10^9 steps
+    def unreachable(n):
+        raise AssertionError(f"primality of {n} tested")
+
+    monkeypatch.setattr(groups, "_prime_factors", unreachable)
+    with pytest.raises(ValueError, match="too large"):
+        mat_group((1 << 61) - 1, 1, [(1,)])
 
 
 def test_builder_rejects_nonpositive_parameters():
