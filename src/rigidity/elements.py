@@ -3,24 +3,35 @@
 Two element kinds are supported: permutations of {0, ..., degree-1} and square
 matrices over a prime field F_p.  A group (`groups.FiniteGroup`) holds its
 elements as keys: a permutation's images, stored as `bytes` up to degree 256
-and as a tuple past it, or a matrix's tuple of entry rows.  Keys hash and
-compare as plain `bytes` or tuples, and `bytes` caches its hash, so an index
-lookup calls no Python-level `__hash__` or `__eq__`.
+and as a tuple past it, or a matrix's key (below).  Keys hash and compare as
+plain `bytes` or tuples, and `bytes` caches its hash, so an index lookup calls
+no Python-level `__hash__` or `__eq__`.
 
-An element kind (`permutation_kind(degree)`, `matrix_kind(p, n)`, one object
-per degree or per (p, n)) does the arithmetic on keys: `mul(a, b)` is the key
-of the product a·b, `inverse(a)` the key of a⁻¹, `identity` the identity's
-key, and `wrap(key)` the element object a key stands for.  A byte-image
-product is one `bytes.translate` call and an inverse one `bytes.maketrans`
-call; a matrix product is one pass of row-by-column sums mod p.  Keys are
-valid by construction, so the kind checks no shape, modulus or type.
+An element kind (`permutation_kind(degree)`, `matrix_kind(p, n)`,
+`vector_kind(p, n)`, one object per degree or per (p, n)) does the arithmetic
+on keys: `mul(a, b)` is the key of the product a·b, `inverse(a)` the key of
+a⁻¹, `identity` the identity's key, and `wrap(key)` the element object a key
+stands for.  A byte-image product is one `bytes.translate` call and an
+inverse one `bytes.maketrans` call; an entry-row matrix product is one pass of
+row-by-column sums mod p.  Keys are valid by construction, so the kind checks
+no shape, modulus or type.
+
+`group_keys(elements)` chooses the kind a group computes in, and each
+generator's key in it.  A permutation group uses its images.  A group of
+invertible n×n matrices over F_p with p**n ≤ 257 is keyed by its action on
+the p**n − 1 nonzero vectors of F_p^n (`vector_kind`): the key of M is the
+permutation v ↦ M·v as byte images, and its arithmetic is the byte-image
+kernel of `permutation_kind(p**n - 1)`.  Past 257 a vector key would hold
+p**n − 1 entries, so larger matrix groups keep the entry-row keys of
+`matrix_kind`.
 
 `Permutation` and `PrimeFieldMatrix` are the objects at the edges: spec
 parsing, printed output, cycle types and the tests.  Their public
 constructors (`Permutation(images)`, `Permutation.identity`,
 `Permutation.from_cycles`, `PrimeFieldMatrix(p, entries)`,
 `PrimeFieldMatrix.identity`, `PrimeFieldMatrix.from_flat`) validate their
-input; `key` is the key an object stands for and `kind` its element kind.
+input; `kind` is an object's own element kind (a matrix's is always
+`matrix_kind`) and `key` its key in that kind.
 `__mul__` rejects factors of different degree or modulus, then calls its
 kind's `mul`, and `inverse` its kind's `inverse`, so each kind has exactly one
 product path.  An element hashes as its key.  `encode` is the same for both
@@ -33,6 +44,7 @@ here and the eigenspace split in `chartab` both call it.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from operator import mul as _times
 
 from .errors import IncompatibleGeneratorsError, SingularMatrixError
@@ -42,6 +54,8 @@ _new = object.__new__
 
 # up to this degree images are bytes, padded to a 256-byte translate table
 _BYTE_DEGREE = 256
+# up to this p**n a matrix group is keyed by its p**n - 1 nonzero vectors
+_VECTOR_SPACE = _BYTE_DEGREE + 1
 
 
 def _images(ints):
@@ -275,6 +289,70 @@ class MatrixKind:
 @lru_cache(maxsize=None)
 def matrix_kind(p: int, n: int) -> MatrixKind:
     return MatrixKind(p, n)
+
+
+class VectorKind:
+    """Arithmetic on the vector keys of the invertible n×n matrices over F_p.
+
+    The key of M is the permutation v ↦ M·v of the p**n − 1 nonzero vectors
+    of F_p^n in lexicographic order, as byte images; vector v is at position
+    Σ v_i·p**(n-1-i) − 1.  The action is on columns, so key(A·B) =
+    key(A)∘key(B), and `mul`, `inverse` and `identity` are those of
+    `permutation_kind(p**n - 1)`.  `wrap` reads column j of M as the image of
+    the unit vector e_j."""
+
+    __slots__ = ("p", "n", "identity", "mul", "inverse", "_vectors", "_units", "_tables")
+
+    def __init__(self, p: int, n: int):
+        self.p, self.n = p, n
+        perms = permutation_kind(p**n - 1)
+        self.identity, self.mul, self.inverse = perms.identity, perms.mul, perms.inverse
+        # every vector of F_p^n in lexicographic order; 0 first, so v is at
+        # its key position plus one
+        self._vectors = list(product(range(p), repeat=n))
+        self._units = [p ** (n - 1 - j) - 1 for j in range(n)]
+        self._tables: dict = {}
+
+    def key(self, element: "PrimeFieldMatrix") -> bytes:
+        """The key of an invertible matrix, built by linearity.
+
+        Coordinate k of M·v is row k of M applied to v, so the position of M·v
+        is a sum over the rows of one memoized table per (k, row): the value
+        of the row on each nonzero v, times p**(n-1-k), less 1 in row 0."""
+        p, n, tables = self.p, self.n, self._tables
+        columns = []
+        for k, row in enumerate(element.entries):
+            table = tables.get((k, row))
+            if table is None:
+                weight = p ** (n - 1 - k)
+                table = tables[k, row] = [
+                    sum(map(_times, row, v)) % p * weight - (k == 0) for v in self._vectors[1:]
+                ]
+            columns.append(table)
+        return bytes(map(sum, zip(*columns)))
+
+    def wrap(self, key) -> "PrimeFieldMatrix":
+        """The matrix a key stands for, built with no check."""
+        columns = [self._vectors[key[u] + 1] for u in self._units]
+        return matrix_kind(self.p, self.n).wrap(tuple(zip(*columns)))
+
+
+@lru_cache(maxsize=None)
+def vector_kind(p: int, n: int) -> VectorKind:
+    return VectorKind(p, n)
+
+
+def group_keys(elements) -> tuple:
+    """(kind, keys): the element kind a group generated by the compatible
+    element objects computes in, and each object's key in it.
+
+    Matrices with p**n ≤ 257 get `vector_kind` keys and must be invertible;
+    larger matrices and permutations keep their own kind and key."""
+    first = elements[0]
+    if isinstance(first, PrimeFieldMatrix) and first.p**first.n <= _VECTOR_SPACE:
+        kind = vector_kind(first.p, first.n)
+        return kind, [kind.key(g) for g in elements]
+    return first.kind, [g.key for g in elements]
 
 
 class PrimeFieldMatrix:

@@ -1,10 +1,12 @@
 """Enumeration of finite groups and index-based group arithmetic.
 
 A group is materialized as a list of raw keys (see `elements`): a
-permutation's images as `bytes` up to degree 256 and as a tuple past it, or
-a matrix's tuple of entry rows.  `index` maps each key to its position, and
-the group's element kind, taken from the first generator, multiplies and
-inverts keys.  The keys are discovered breadth-first from the identity by
+permutation's images as `bytes` up to degree 256 and as a tuple past it; an
+n×n matrix over F_p with p**n ≤ 257 as its permutation of the nonzero vectors
+of F_p^n, in the same byte images; a larger matrix as its tuple of entry rows.
+`index` maps each key to its position, and the group's element kind, chosen
+from the generators by `elements.group_keys`, multiplies and inverts keys.
+The keys are discovered breadth-first from the identity by
 right-multiplication with a deduplicated, canonically sorted generator list.
 Element 0 is always the identity and the discovery order is deterministic, so
 two runs over the same generators produce identical tables.  No group
@@ -56,7 +58,7 @@ from bisect import bisect_left
 from collections import Counter
 
 from .cyclotomic import _prime_factors
-from .elements import Permutation, PrimeFieldMatrix, matrix_kind
+from .elements import Permutation, PrimeFieldMatrix, group_keys, matrix_kind
 from .errors import (
     CapExceededError,
     IncompatibleGeneratorsError,
@@ -373,7 +375,8 @@ class FiniteGroup:
 
 def closure_enumerate(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Enumerate the group generated by the element objects gens,
-    breadth-first from the identity, on keys of the first generator's kind."""
+    breadth-first from the identity, on the keys `group_keys` chooses.
+    Matrix generators are checked to be invertible before any key is built."""
     gens = list(gens)
     if not gens:
         raise ValueError("at least one generator required")
@@ -387,8 +390,7 @@ def closure_enumerate(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
         for g in gens:
             if g.determinant() == 0:
                 raise SingularMatrixError(f"generator is singular mod {g.p}: {g!r}")
-    unique = [g.key for _, g in sorted({g.encode(): g for g in gens}.items())]
-    kind = first.kind
+    kind, unique = group_keys([g for _, g in sorted({g.encode(): g for g in gens}.items())])
     mul = kind.mul
     elements = [kind.identity]
     index = {kind.identity: 0}
@@ -414,8 +416,8 @@ def so3_enumerate(p: int) -> FiniteGroup:
     """All 3×3 matrices M over F_p with M·Mᵀ = I and det M = 1.
 
     Exhaustive scan in row-major lexicographic order with row-level pruning;
-    the surviving matrices, as entry-row keys, appear in exactly the order a
-    naive scan of all p⁹ candidates would produce.  The identity is then
+    the surviving matrices appear in exactly the order a naive scan of all p⁹
+    candidates would produce, keyed by `group_keys`.  The identity is then
     moved to the front.
     """
     if p not in (3, 5, 7):
@@ -444,10 +446,10 @@ def so3_enumerate(p: int) -> FiniteGroup:
                 ) % p
                 if det == 1:
                     mats.append((r1, r2, r3))
-    kind = matrix_kind(p, 3)
-    mats.remove(kind.identity)
-    mats.insert(0, kind.identity)
-    return FiniteGroup.from_closed_elements(kind, mats)
+    kind, keys = group_keys(list(map(matrix_kind(p, 3).wrap, mats)))
+    keys.remove(kind.identity)
+    keys.insert(0, kind.identity)
+    return FiniteGroup.from_closed_elements(kind, keys)
 
 
 def _check_known_order(order: int, label: str, cap: int) -> None:

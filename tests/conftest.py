@@ -1,5 +1,6 @@
 """Shared test helpers: one group pipeline cache keyed by spec text, the
-image-list and entry-list references for key arithmetic, the
+image-list and entry-list references for key arithmetic, the object→index
+map, the
 brute-force centralizer, commutator-closure and fingerprint references, the
 whole class-matrix reference, the full-scan reference for solutions and
 orbits, the cyclotomic reference sum, the long-division reduction mod Φ_e,
@@ -92,6 +93,14 @@ def wrapped(G) -> list:
     return [G.element(i) for i in range(G.order)]
 
 
+def positions(G) -> dict:
+    """Each element object of G mapped to its index, built from `wrapped(G)`.
+
+    A reference locates an object here, not by `G.index[x.key]`: a matrix
+    group's keys need not be its objects' own keys."""
+    return {x: i for i, x in enumerate(wrapped(G))}
+
+
 def centralizer(G, i: int) -> set[int]:
     """Indices of all elements commuting with element i, by |G| products
     each way: the reference for `FiniteGroup.centralizer_generators`."""
@@ -107,7 +116,8 @@ def commutator_closure(G) -> set[int]:
     """
     inverses = [(a.inverse(), a) for a in wrapped(G)]
     commutators = {ai * bi * a * b for ai, a in inverses for bi, b in inverses}
-    return {G.index[x.key] for x in orbit(G.element(0), commutators, mul)}
+    at = positions(G)
+    return {at[x] for x in orbit(G.element(0), commutators, mul)}
 
 
 def fingerprint_reference(G, seed) -> tuple:
@@ -150,6 +160,7 @@ def class_matrices(T, G, ids=None) -> list[ClassMatrix]:
     The whole-matrix reference for `chartab.class_matrix_row`: it tallies
     y = x⁻¹·rep_k over x ∈ C_j, where the split counts x·y_i per row."""
     r = len(T.classes)
+    at = positions(G)
     reps = [G.element(c.representative) for c in T.classes]
     out = []
     for j in range(r) if ids is None else ids:
@@ -159,7 +170,7 @@ def class_matrices(T, G, ids=None) -> list[ClassMatrix]:
             # xy = z  ⟺  y = x⁻¹z; tally the class y lands in
             xi = G.element(G.inverse(x))
             for k, z in enumerate(reps):
-                entries[T.class_of[G.index[(xi * z).key]]][k] += 1
+                entries[T.class_of[at[xi * z]]][k] += 1
         out.append(ClassMatrix(j=c.id, entries=tuple(tuple(row) for row in entries)))
     return out
 

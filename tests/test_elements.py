@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import permutations, product
+from operator import mul
 
 import pytest
 from conftest import (
@@ -16,11 +17,15 @@ from conftest import (
 
 from rigidity.chartab import _kernel_mod, _restriction
 from rigidity.elements import (
+    MatrixKind,
     Permutation,
     PrimeFieldMatrix,
+    VectorKind,
+    group_keys,
     matrix_kind,
     permutation_kind,
     row_reduce,
+    vector_kind,
 )
 from rigidity.errors import (
     IncompatibleGeneratorsError,
@@ -258,17 +263,52 @@ def test_matrix_kind_matches_entry_list_arithmetic():
             for _ in range(15):
                 a, b = ([[rng.randrange(p) for _ in range(n)] for _ in range(n)] for _ in range(2))
                 ka, kb = (tuple(map(tuple, m)) for m in (a, b))
-                product = kind.mul(ka, kb)
-                assert product == tuple(map(tuple, multiply_entries(a, b, p)))
+                ab = kind.mul(ka, kb)
+                assert ab == tuple(map(tuple, multiply_entries(a, b, p)))
                 assert kind.mul(ka, kind.identity) == ka == kind.mul(kind.identity, ka)
                 if determinant_entries(a, p):
                     assert kind.inverse(ka) == tuple(map(tuple, invert_entries(a, p)))
                 else:
                     with pytest.raises(SingularMatrixError):
                         kind.inverse(ka)
-                element = kind.wrap(product)
+                element = kind.wrap(ab)
                 assert type(element) is PrimeFieldMatrix and (element.p, element.n) == (p, n)
-                assert element.entries == product
+                assert element.entries == ab
+    # vector keys, up to p**n = 257: against the action on the nonzero vectors
+    # and against object arithmetic on entry rows
+    for p, n in ((2, 2), (3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (2, 3), (3, 3), (5, 3), (257, 1)):
+        kind = vector_kind(p, n)
+        vectors = list(product(range(p), repeat=n))[1:]
+        position = {v: i for i, v in enumerate(vectors)}
+
+        def action(m):
+            return [position[tuple(sum(map(mul, row, v)) % p for row in m.entries)] for v in vectors]
+
+        identity = PrimeFieldMatrix.identity(p, n)
+        assert kind.identity == kind.key(identity) == bytes(range(p**n - 1))
+        assert kind.wrap(kind.identity) == identity
+        for _ in range(15):
+            a, b = (random_invertible(rng, p, n) for _ in range(2))
+            ka, kb = kind.key(a), kind.key(b)
+            assert type(ka) is bytes and list(ka) == action(a)
+            assert kind.mul(ka, kb) == kind.key(a * b)
+            assert kind.inverse(ka) == kind.key(a.inverse())
+            assert kind.mul(ka, kind.identity) == ka == kind.mul(kind.identity, ka)
+            for m in (a, a * b):
+                element = kind.wrap(kind.key(m))
+                assert type(element) is PrimeFieldMatrix and (element.p, element.n) == (p, n)
+                assert element == m and element.entries == m.entries
+    # a group's key form is chosen from p**n alone
+    for p, n, form in ((257, 1, VectorKind), (2, 8, VectorKind), (17, 2, MatrixKind), (7, 3, MatrixKind)):
+        kind, keys = group_keys([PrimeFieldMatrix.identity(p, n)])
+        assert type(kind) is form and keys == [kind.identity]
+
+
+def random_invertible(rng, p: int, n: int) -> PrimeFieldMatrix:
+    while True:
+        m = PrimeFieldMatrix(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        if m.determinant():
+            return m
 
 
 def test_products_of_products_still_check_degree_and_modulus():

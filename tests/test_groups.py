@@ -5,7 +5,17 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from conftest import Q8, Q8_FLATS, SL23, SL27, centralizer, commutator_closure, group, wrapped
+from conftest import (
+    Q8,
+    Q8_FLATS,
+    SL23,
+    SL27,
+    centralizer,
+    commutator_closure,
+    group,
+    positions,
+    wrapped,
+)
 
 from rigidity import groups
 from rigidity.conjugacy import conjugacy_classes
@@ -82,9 +92,9 @@ def test_inverse_table():
 def test_inverse_matches_element_arithmetic(spec):
     # a fresh group: every answer is first computed, then read from the memo
     G = build_group(spec)
-    els = wrapped(G)
+    els, at = wrapped(G), positions(G)
     for i in range(G.order):
-        expected = G.index[els[i].inverse().key]
+        expected = at[els[i].inverse()]
         assert G.inverse(i) == G.inverse(i) == expected
         assert els[i] * els[expected] == els[0]
 
@@ -140,13 +150,13 @@ def test_negative_indices_raise_and_memoize_nothing():
 )
 def test_generator_conjugation_rows_match_element_arithmetic(spec):
     G = build_group(spec)
-    els = wrapped(G)
+    els, at = wrapped(G), positions(G)
 
     def check(conjugators):
         for g in conjugators:
             inv = els[g].inverse()
             for x in range(G.order):
-                expected = G.index[(inv * els[x] * els[g]).key]
+                expected = at[inv * els[x] * els[g]]
                 # the second answer comes from the memo
                 assert G.conjugate(x, g) == G.conjugate(x, g) == expected
 

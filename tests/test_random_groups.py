@@ -1,4 +1,7 @@
-"""Table and count invariants on randomly generated permutation and matrix groups."""
+"""Table and count invariants on randomly generated permutation and matrix groups.
+
+Matrix groups are drawn on both sides of p**n = 257, so both matrix key forms
+(vectors and entry rows) meet the same references."""
 
 from __future__ import annotations
 
@@ -10,6 +13,7 @@ from conftest import (
     FullScan,
     commutator_closure,
     fingerprint_reference,
+    positions,
     two_relation_violation,
     wrapped,
 )
@@ -20,7 +24,7 @@ from hypothesis import assume, given, settings, strategies as st
 from rigidity.chartab import character_table, class_matrix_row, verify_orthogonality
 from rigidity.conjugacy import conjugacy_classes
 from rigidity.counting import count_equivalence, rigidity_verdict
-from rigidity.elements import Permutation, PrimeFieldMatrix
+from rigidity.elements import MatrixKind, Permutation, PrimeFieldMatrix, VectorKind
 from rigidity.errors import CapExceededError
 from rigidity.groups import closure_enumerate
 from rigidity.murnaghan import murnaghan_nakayama
@@ -55,6 +59,36 @@ def matrix_generator_sets(draw):
     return p, [draw(flat) for _ in range(draw(st.integers(1, 2)))]
 
 
+# the nonzero entries of the monomial generators below: the elements of
+# order dividing 4 in F_17 and 6 in F_19
+MONOMIAL_ENTRIES = {
+    p: [x for x in range(1, p) if pow(x, k, p) == 1] for p, k in ((17, 4), (19, 6))
+}
+
+
+@st.composite
+def entry_row_generator_sets(draw):
+    """(p, flats): two 2×2 matrices over F_p, p ∈ {17, 19}.
+
+    p**2 > 257, so these groups keep entry-row keys.  Random matrices over
+    these fields almost always generate SL(2, p) or more, so the generators
+    are a diagonal and an anti-diagonal matrix with entries from
+    `MONOMIAL_ENTRIES`, both conjugated by one random invertible matrix.  The
+    groups have order at most 72."""
+    p = draw(st.sampled_from(sorted(MONOMIAL_ENTRIES)))
+    entry = st.sampled_from(MONOMIAL_ENTRIES[p])
+    c = PrimeFieldMatrix.from_flat(
+        p, 2, draw(st.lists(st.integers(0, p - 1), min_size=4, max_size=4))
+    )
+    assume(c.determinant())
+    a, b, x, y = (draw(entry) for _ in range(4))
+    flats = []
+    for m in ((a, 0, 0, b), (0, x, y, 0)):
+        g = c.inverse() * PrimeFieldMatrix.from_flat(p, 2, m) * c
+        flats.append([v for row in g.entries for v in row])
+    return p, flats
+
+
 def check_tables_and_counts(G, T):
     """The invariants every group must satisfy; returns the character table."""
     CT = character_table(G, T)
@@ -83,10 +117,10 @@ def check_tables_and_counts(G, T):
         assert G.fingerprint(seed) == fingerprint_reference(G, seed)
 
     # each stored generator's row and the class partition, against element arithmetic
-    els, index = wrapped(G), G.index
+    els, at = wrapped(G), positions(G)
     gens = [(els[g].inverse(), els[g]) for g in G.generator_indices]
     for g, (hi, h) in zip(G.generator_indices, gens):
-        assert G.conjugation_row(g) == [index[(hi * x * h).key] for x in els]
+        assert G.conjugation_row(g) == [at[hi * x * h] for x in els]
     orbits = set()
     for x in els:
         members, queue = {x}, [x]
@@ -96,7 +130,7 @@ def check_tables_and_counts(G, T):
                 if z not in members:
                     members.add(z)
                     queue.append(z)
-        orbits.add(frozenset(index[y.key] for y in members))
+        orbits.add(frozenset(at[y] for y in members))
     assert orbits == {frozenset(c.members) for c in T.classes}
 
     # the derived subgroup: the commutator closure, normal under the stored generators
@@ -123,9 +157,9 @@ def test_random_permutation_group_tables_and_counts(generators):
         assert oracle.rows == CT.rows
 
 
-@settings(max_examples=25, derandomize=True, database=None, deadline=None)
-@given(matrix_generator_sets())
-def test_random_matrix_group_tables_and_counts(generators):
+def check_matrix_group(generators, form):
+    """Enumerate under the order cap, then check the invariants if the group
+    is small enough; its keys must be of the given kind."""
     p, flats = generators
     try:
         G = closure_enumerate(
@@ -133,6 +167,20 @@ def test_random_matrix_group_tables_and_counts(generators):
         )
     except CapExceededError:
         assume(False)
+    assert type(G.kind) is form
     T = conjugacy_classes(G)
     assume(T.num_classes <= MATRIX_CLASS_CAP)
     check_tables_and_counts(G, T)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(matrix_generator_sets())
+def test_random_matrix_group_tables_and_counts(generators):
+    # p ≤ 7: keyed by the action on vectors
+    check_matrix_group(generators, VectorKind)
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(entry_row_generator_sets())
+def test_random_entry_row_matrix_group_tables_and_counts(generators):
+    check_matrix_group(generators, MatrixKind)
