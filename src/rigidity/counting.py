@@ -17,6 +17,13 @@ to one to the C_G(rep₁)-orbits of those starting with rep₁, and a G-orbit is
 C₁ (`conjugacy` guarantees it), so each orbit's least tuple starts with
 rep₁ and is the least tuple of its C_G(rep₁)-orbit.
 
+The all-triples loop (`count_equivalence`) needs counts, not tuples, so it
+scans once per ordered pair (i, j) and not once per triple: with x₁ = rep_i
+fixed, each x₂ ∈ C_j leaves one third entry (rep_i·x₂)⁻¹, and sorting those
+by class gives, for every k, the solutions of (i, j, k) that start with rep_i
+(`scan_class_counts`).  By the argument above the scan count of (i, j, k) is
+|C_i| times that number: r·|G| candidates for all r³ triples.
+
 The character route computes with plain integers, at c = the lcm of the
 conductors of the classes it reads.  Each column is held as D_k times its
 integer coordinates in the power basis at c (`CharacterTable.column`), each
@@ -26,7 +33,7 @@ column sums the rows, and one exact integer division by W^{s−2}·∏D_k·|G|
 gives the count.  The sum is memoized per table under the sorted class ids
 (`CharacterTable.character_sums`): c depends only on the classes and the
 product mod Φ_c is commutative, so `count_equivalence` computes one sum per
-multiset where it asks for two per ordered triple.  The scan never reads the
+multiset where it asks for two per ordered triple.  Neither scan reads the
 table or its memos.
 
 Solution sets are decomposed into orbits under simultaneous conjugation,
@@ -110,6 +117,16 @@ def _check_ids(class_ids, r: int) -> tuple[int, ...]:
         if not 0 <= i < r:
             raise IndexError(f"class id {i} outside 0..{r - 1}")
     return ids
+
+
+def _check_iterations(sizes, cap: int) -> None:
+    """The scan cap: the product of all class sizes but the largest, the
+    iterations of a scan over every x₁, may not exceed cap."""
+    iterations = prod(sizes) // max(sizes)
+    if iterations > cap:
+        raise CapExceededError(
+            f"scan needs {iterations} iterations, exceeding cap {cap}"
+        )
 
 
 def _check_routes(ids, count: int, scanned: int) -> None:
@@ -215,11 +232,7 @@ def enumerate_solutions(
     """
     ids = _check_ids(class_ids, len(T.classes))
     sizes = [T.classes[i].size for i in ids]
-    iterations = prod(sizes) // max(sizes)
-    if iterations > cap:
-        raise CapExceededError(
-            f"scan needs {iterations} iterations, exceeding cap {cap}"
-        )
+    _check_iterations(sizes, cap)
     rest = sizes[1:]
     m = 1 + rest.index(max(rest))
     member_lists = [T.classes[i].members for i in ids[1:m] + ids[m + 1 :]]
@@ -295,6 +308,21 @@ def rigidity_verdict(
     )
 
 
+def scan_class_counts(G: FiniteGroup, T: ClassTable, i: int, j: int) -> list[int]:
+    """For every class k, the number of x ∈ C_j with (rep_i·x)⁻¹ ∈ C_k.
+
+    With x₁ = rep_i, each x₂ ∈ C_j leaves exactly one third entry,
+    x₃ = (rep_i·x₂)⁻¹, so entry k counts the solutions of (i, j, k) that
+    start with rep_i.  One pass over C_j; reads G and T only.
+    """
+    counts = [0] * T.num_classes
+    rep = T.classes[i].representative
+    class_of, mult, inverse = T.class_of, G.mult, G.inverse
+    for x in T.classes[j].members:
+        counts[class_of[inverse(mult(rep, x))]] += 1
+    return counts
+
+
 def count_equivalence(
     G: FiniteGroup,
     T: ClassTable,
@@ -303,30 +331,40 @@ def count_equivalence(
 ) -> tuple[int, list[dict]]:
     """Both routes on every class triple: (number of triples, mismatch records).
 
+    The scan route makes one pass per ordered pair (i, j), `scan_class_counts`,
+    and reads the count of every (i, j, k) off it: each member of C_i starts
+    equally many solutions (the conjugation argument of `enumerate_solutions`),
+    so the scan count is |C_i| times entry k.  Each triple is held to the
+    cap of `enumerate_solutions`, as if it were scanned on its own.
     A triple mismatches when the scan disagrees with the character count, or
     when the count breaks frobenius_count(x, y, z) = |C_z| · a_{xyz}.
     """
     r = T.num_classes
+    sizes = [c.size for c in T.classes]
     mismatches = []
-    for ids in iter_product(range(r), repeat=3):
-        count = frobenius_count(CT, ids)
-        scanned = len(enumerate_solutions(G, T, ids, cap))
-        constant = class_algebra_constant(CT, *ids)
-        try:
-            _check_routes(ids, count, scanned)
-        except VerificationError:
-            agrees = False
-        else:
-            agrees = count == T.classes[ids[2]].size * constant
-        if not agrees:
-            mismatches.append(
-                {
-                    "class-ids": list(ids),
-                    "character-count": count,
-                    "scan-count": scanned,
-                    "class-algebra-constant": constant,
-                }
-            )
+    for i, j in iter_product(range(r), repeat=2):
+        scan = scan_class_counts(G, T, i, j)
+        for k in range(r):
+            ids = (i, j, k)
+            count = frobenius_count(CT, ids)
+            _check_iterations((sizes[i], sizes[j], sizes[k]), cap)
+            scanned = sizes[i] * scan[k]
+            constant = class_algebra_constant(CT, *ids)
+            try:
+                _check_routes(ids, count, scanned)
+            except VerificationError:
+                agrees = False
+            else:
+                agrees = count == sizes[k] * constant
+            if not agrees:
+                mismatches.append(
+                    {
+                        "class-ids": list(ids),
+                        "character-count": count,
+                        "scan-count": scanned,
+                        "class-algebra-constant": constant,
+                    }
+                )
     return r**3, mismatches
 
 

@@ -3,7 +3,8 @@ image-list and entry-list references for key arithmetic, the object→index
 map, the
 brute-force centralizer, commutator-closure and fingerprint references, the
 whole class-matrix reference, the full-scan reference for solutions and
-orbits, the cyclotomic reference sum, the long-division reduction mod Φ_e,
+orbits, the per-triple scan as the reference for the all-triples pair scan,
+the cyclotomic reference sum, the long-division reduction mod Φ_e,
 the conductor descent by elimination over Q with the canonical form built on
 it alone, the whole-table integer lift, the two-relation orthogonality
 reference and tampered character tables.
@@ -32,7 +33,7 @@ from rigidity.cyclotomic import (
     euler_phi,
     integer_coordinates,
 )
-from rigidity.counting import Orbit
+from rigidity.counting import Orbit, enumerate_solutions, scan_class_counts
 from rigidity.groups import orbit, orbit_partition
 
 # quaternion group of order 8 as 2x2 matrices over F_3
@@ -220,6 +221,20 @@ class FullScan:
                 solutions, self.conjugation, lambda sol, t: tuple(map(t.__getitem__, sol))
             )
         )
+
+
+def pair_scan_mismatch(G, T) -> tuple[int, int] | None:
+    """The first ordered class pair (i, j) whose `scan_class_counts`, each
+    times |C_i|, differs from one `enumerate_solutions` per triple (i, j, k),
+    or None.  `enumerate_solutions` iterates C_j and solves for x_k, or, when
+    C_j is the larger class, iterates C_k and solves for x_j."""
+    r = T.num_classes
+    for i, j in iter_product(range(r), repeat=2):
+        by_pair = [T.classes[i].size * n for n in scan_class_counts(G, T, i, j)]
+        by_triple = [len(enumerate_solutions(G, T, (i, j, k))) for k in range(r)]
+        if by_pair != by_triple:
+            return i, j
+    return None
 
 
 def cyclotomic_sum(terms) -> Cyclotomic:

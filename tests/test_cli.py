@@ -286,6 +286,16 @@ def test_rigid_scan_cap_counts_a_scan_over_every_first_entry(capsys):
     assert run(capsys, "rigid", "Sym(5)", "2", "4", "5", "--cap", "360")[0] == 0
 
 
+def test_oracle_scan_cap_is_checked_per_triple(capsys):
+    # the largest scan among Sym(4)'s class triples is 8·8, for the class of
+    # 3-cycles three times; recorded while every triple was scanned on its own
+    code, out, err = run(capsys, "oracle", "Sym(4)", "--cap", "63")
+    assert (code, out, err) == (3, "", "error: scan needs 64 iterations, exceeding cap 63\n")
+    code, out, err = run(capsys, "oracle", "Sym(4)", "--cap", "64")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "oracle", "Sym(4)")[1]
+
+
 def _memoized_rows(capsys, monkeypatch, argv):
     """(class table, Cayley rows memoized, stdout) after one passing command."""
     tables = []
@@ -298,13 +308,16 @@ def _memoized_rows(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("rigid", "Sym(6)", "2", "4", "5"), ("oracle", "Sym(5)")],
+    "argv, one_row_per_class",
+    [(("rigid", "Sym(6)", "2", "4", "5"), False), (("oracle", "Sym(5)"), True)],
     ids=["census", "oracle"],
 )
-def test_scan_memoizes_at_most_two_rows_per_class(capsys, monkeypatch, argv):
+def test_scan_memoizes_at_most_two_rows_per_class(capsys, monkeypatch, argv, one_row_per_class):
     T, rows, _ = _memoized_rows(capsys, monkeypatch, argv)
     assert 0 < rows <= 2 * T.num_classes
+    if one_row_per_class:
+        # the all-triples loop scans by pairs, each from a class representative
+        assert rows == T.num_classes
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from conftest import (
     charactered,
     cyclotomic_sum,
     integer_table,
+    pair_scan_mismatch,
     tampered,
 )
 from rigidity import counting
@@ -106,6 +107,12 @@ def test_character_count_equals_scan_on_all_triples():
                     assert by_characters == by_scan, (name, ids)
                     constant = class_algebra_constant(CT, x, y, z)
                     assert by_characters == T.classes[z].size * constant, (name, ids)
+
+
+@pytest.mark.parametrize("name", ["Sym(4)", "Alt(5)", SL23])
+def test_pair_scan_matches_the_per_triple_scan(name):
+    G, T, _ = charactered(name)
+    assert pair_scan_mismatch(G, T) is None
 
 
 def test_pair_counts_detect_inverse_classes():
@@ -390,6 +397,35 @@ def test_count_equivalence_records_mismatches(monkeypatch):
             "class-algebra-constant": 3,
         }
     ]
+
+
+def test_count_equivalence_records_scan_mismatches(monkeypatch):
+    # one product misreported: rep₁·rep₁ of a transposition reads as rep₁, not 1
+    G, T, CT = charactered("Sym(3)")
+    rep = T.classes[1].representative
+    real = G.mult
+    monkeypatch.setattr(G, "mult", lambda i, j: rep if (i, j) == (rep, rep) else real(i, j))
+    triples, mismatches = count_equivalence(G, T, CT)
+    assert triples == 27
+    assert mismatches == [
+        {
+            "class-ids": [1, 1, 0],
+            "character-count": 3,
+            "scan-count": 0,
+            "class-algebra-constant": 3,
+        },
+        {
+            "class-ids": [1, 1, 1],
+            "character-count": 0,
+            "scan-count": 3,
+            "class-algebra-constant": 0,
+        },
+    ]
+    # the character route read the table, not the forged product
+    for record in mismatches:
+        assert record["character-count"] == frobenius_count(CT, record["class-ids"])
+    monkeypatch.undo()
+    assert count_equivalence(G, T, CT) == (27, [])
 
 
 def test_stabilizer_mass_formula():

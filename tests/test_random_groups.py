@@ -13,6 +13,7 @@ from conftest import (
     FullScan,
     commutator_closure,
     fingerprint_reference,
+    pair_scan_mismatch,
     positions,
     two_relation_violation,
     wrapped,
@@ -100,6 +101,7 @@ def check_tables_and_counts(G, T):
     for i, j in combinations_with_replacement(range(T.num_classes), 2):
         assert class_matrix_row(T, G, j, i) == class_matrix_row(T, G, i, j), (i, j)
     assert count_equivalence(G, T, CT)[1] == []
+    assert pair_scan_mismatch(G, T) is None
     # the scan's orbits partition the solutions, each is an orbit of G, and
     # they are the orbits the full scan finds without fixing x₁ = rep₁
     reference = FullScan(G, T)
