@@ -28,7 +28,12 @@ simultaneous right eigenvector of all structure-constant matrices:
 5. lift each value by the inverse discrete Fourier transform over power-map
    classes: with η a primitive o-th root mod p (o the element order), the
    multiplicity of ζ_o^t in the representation at g is
-   m_t = (1/o)·Σ_s χ(g^s)·η^{−ts} mod p, and χ(g) = Σ_t m_t·ζ_o^t.
+   m_t = (1/o)·Σ_s χ(g^s)·η^{−ts} mod p, and χ(g) = Σ_t m_t·ζ_o^t.  One
+   o×o table of η^{ts} mod p is built per element order o (it is symmetric,
+   and its row −t mod o holds η^{−ts}), so each (row, class) costs 2·o
+   integer dot products; for every one, each m_t must be ≤ the degree, the
+   m_t must sum to the degree, and Σ_t m_t·η^{ts} must give back χ(g^s) for
+   every s.
 
 The root η is derived from the least primitive e-th root λ mod p, so output
 is reproducible; a different λ would relabel the table by a global Galois
@@ -49,6 +54,7 @@ raises VerificationError on the first violation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt, lcm
@@ -328,6 +334,14 @@ def _attempt(G: FiniteGroup, T: ClassTable, p: int, e: int) -> CharacterTable:
 
     lam_root = _least_primitive_root(p, e)
     powers = power_classes(T)
+    # per element order o: the symmetric table F[t][s] = η^{ts} and 1/o mod p,
+    # with η = λ^{e/o} a primitive o-th root; row −t of F holds η^{−ts}
+    transforms = {}
+    for o in {len(pcs) for pcs in powers}:
+        eta = pow(lam_root, e // o, p)
+        eta_pow = [pow(eta, i, p) for i in range(o)]
+        F = [[eta_pow[t * s % o] for s in range(o)] for t in range(o)]
+        transforms[o] = (F, pow(o, -1, p))
     lifted: dict[tuple, Cyclotomic] = {}
     rows = []
     for w, degree in zip(vectors, degrees):
@@ -335,28 +349,22 @@ def _attempt(G: FiniteGroup, T: ClassTable, p: int, e: int) -> CharacterTable:
         for k in range(r):
             pcs = powers[k]
             o = len(pcs)
-            eta = pow(lam_root, e // o, p)
-            eta_pow = [1] * o
-            for i in range(1, o):
-                eta_pow[i] = eta_pow[i - 1] * eta % p
-            inv_o = pow(o, -1, p)
+            F, inv_o = transforms[o]
             theta = [degree * w[pc] * inv_sizes[pc] % p for pc in pcs]
-            mults = {}
-            for t in range(o):
-                m = sum(theta[s] * eta_pow[(-t * s) % o] for s in range(o)) * inv_o % p
-                if m > degree:
-                    raise SplitFailureError("root multiplicity exceeds the degree")
-                if m:
-                    mults[t] = m
-            if sum(mults.values()) != degree:
+            mults = [sum(map(operator.mul, theta, F[-t % o])) * inv_o % p for t in range(o)]
+            if max(mults) > degree:
+                raise SplitFailureError("root multiplicity exceeds the degree")
+            if sum(mults) != degree:
                 raise SplitFailureError("root multiplicities do not sum to the degree")
             for s in range(o):
                 # lifted value must reduce back to the eigenvector data
-                if sum(m * eta_pow[(t * s) % o] for t, m in mults.items()) % p != theta[s]:
+                if sum(map(operator.mul, mults, F[s])) % p != theta[s]:
                     raise SplitFailureError("lifted value does not reduce to mod-p data")
-            key = (o, tuple(mults.items()))
+            key = (o, *mults)
             if key not in lifted:
-                lifted[key] = Cyclotomic.from_exponent_map(o, mults)
+                lifted[key] = Cyclotomic.from_exponent_map(
+                    o, {t: m for t, m in enumerate(mults) if m}
+                )
             values.append(lifted[key])
         rows.append(Character(degree=degree, values=tuple(values)))
 

@@ -22,7 +22,9 @@ scans once per ordered pair (i, j) and not once per triple: with x₁ = rep_i
 fixed, each x₂ ∈ C_j leaves one third entry (rep_i·x₂)⁻¹, and sorting those
 by class gives, for every k, the solutions of (i, j, k) that start with rep_i
 (`scan_class_counts`).  By the argument above the scan count of (i, j, k) is
-|C_i| times that number: r·|G| candidates for all r³ triples.
+|C_i| times that number: r·|G| candidates for all r³ triples.  Each product
+is asked for once, so the pass multiplies and inverts keys and memoizes no
+Cayley row.
 
 The character route computes with plain integers, at c = the lcm of the
 conductors of the classes it reads.  Each column is held as D_k times its
@@ -313,13 +315,16 @@ def scan_class_counts(G: FiniteGroup, T: ClassTable, i: int, j: int) -> list[int
 
     With x₁ = rep_i, each x₂ ∈ C_j leaves exactly one third entry,
     x₃ = (rep_i·x₂)⁻¹, so entry k counts the solutions of (i, j, k) that
-    start with rep_i.  One pass over C_j; reads G and T only.
+    start with rep_i.  One pass over C_j; reads G and T only.  Each of the
+    |C_j| products is new, so it is taken by key arithmetic and fills no
+    Cayley row.
     """
     counts = [0] * T.num_classes
-    rep = T.classes[i].representative
-    class_of, mult, inverse = T.class_of, G.mult, G.inverse
+    elements, index, class_of = G.elements, G.index, T.class_of
+    mul, inverse = G.kind.mul, G.kind.inverse
+    rep = elements[T.classes[i].representative]
     for x in T.classes[j].members:
-        counts[class_of[inverse(mult(rep, x))]] += 1
+        counts[class_of[index[inverse(mul(rep, elements[x]))]]] += 1
     return counts
 
 

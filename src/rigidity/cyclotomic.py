@@ -16,10 +16,16 @@ the relative trace to Q(ζ_m), m = e/p, decides it (`_descend_by_trace`): the
 value lies there exactly when its trace over p − 1, read at m and lifted back
 by ζ_m = ζ_e^p, is the value again, and those coordinates at m are then its
 own.  Neither descent solves a linear system; both steps of the trace are the
-one reduction mod Φ_e.  For e = 2m, m odd, Q(ζ_e) = Q(ζ_m) and the trace for
-p = 2 is the identity, so every value descends from such an e and stored
-conductors are never ≡ 2 mod 4.  The minimal conductor and the coordinates
-over it are unique, so the order of the descents does not change the result.
+one reduction mod Φ_e.  Every descent runs on ints: the value is scaled by
+the least common denominator D of its coefficients, D times it is an
+algebraic integer, and an algebraic integer in Q(ζ_m) has integral
+coordinates there, so the trace times p − 1 is divided exactly, and a
+remainder rules the subfield out without the lift back.  Only the stored
+coordinates, divided by D, are `Fraction`s.  For e = 2m, m odd,
+Q(ζ_e) = Q(ζ_m) and the trace for p = 2 is the identity, so every value
+descends from such an e and stored conductors are never ≡ 2 mod 4.  The
+minimal conductor and the coordinates over it are unique, so the order of
+the descents does not change the result.
 
 `Cyclotomic` is a value type: it is built (`from_rational`,
 `from_exponent_map`, `zeta`), compared, hashed, ordered and printed, and
@@ -30,10 +36,12 @@ vectors and `conjugate_mod` applies ζ ↦ ζ⁻¹ (complex conjugation), both
 without minimizing.
 
 Every reduction mod Φ_e is one step, `_power_basis`: Σ c·ζ_e^k is summed from
-the cached power-basis coordinates of each ζ_e^k (`_zeta_powers`), for any
-integer k.  Building a value from an exponent map, lifting it to a multiple of
-its conductor, and the results of `dot_mod` and `conjugate_mod` all go
-through it.
+the nonzero power-basis coordinates of each ζ_e^k, for any integer k, read
+off one cached sparse table per e (`_sparse_zeta_powers`, derived from the
+dense `_zeta_powers`).  For k < φ(e) that is the single pair (k, 1), so a
+power already in the basis costs one add.  Building a value from an exponent
+map, lifting it to a multiple of its conductor, and the results of `dot_mod`
+and `conjugate_mod` all go through it.
 """
 
 from __future__ import annotations
@@ -107,9 +115,9 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-@lru_cache(maxsize=None)
 def _zeta_powers(e: int) -> tuple[tuple[int, ...], ...]:
-    """Power-basis coordinates of ζ_e^k for every k in [0, e)."""
+    """Power-basis coordinates of ζ_e^k for every k in [0, e); the program
+    keeps only its sparse view, `_sparse_zeta_powers`."""
     phi = euler_phi(e)
     cp = cyclotomic_polynomial(e)
     out = []
@@ -125,17 +133,24 @@ def _zeta_powers(e: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _sparse_zeta_powers(e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (i, b) coordinates of each row of `_zeta_powers(e)`; for
+    k < φ(e), ζ_e^k is the one pair (k, 1)."""
+    return tuple(tuple((i, b) for i, b in enumerate(v) if b) for v in _zeta_powers(e))
+
+
 def _power_basis(terms, e: int) -> tuple:
     """Power-basis coordinates at e of Σ c·ζ_e^k over the (k, c) pairs in terms:
     k is any integer, taken mod e, and c an int or a Fraction.  Each ζ_e^k is
-    read off `_zeta_powers(e)`, so this is the one reduction mod Φ_e."""
-    powers = _zeta_powers(e)
+    read off `_sparse_zeta_powers(e)`, so this is the one reduction mod Φ_e.
+    The coordinates are ints when every c is an int."""
+    powers = _sparse_zeta_powers(e)
     vec = [0] * euler_phi(e)
     for k, c in terms:
         if c:
-            for i, b in enumerate(powers[k % e]):
-                if b:
-                    vec[i] += c * b
+            for i, b in powers[k % e]:
+                vec[i] += c * b
     return tuple(vec)
 
 
@@ -146,10 +161,20 @@ def _descend_by_trace(e: int, vec: tuple, p: int) -> tuple | None:
     ζ_e^k = ζ_p^{k·s}·ζ_m^{k·t} with s = m⁻¹ mod p and t = p⁻¹ mod m, and the
     trace from Q(ζ_e) to Q(ζ_m) sends ζ_p^a to p − 1 when p | a and to −1
     otherwise, so w = Tr(v)/(p − 1) is v itself when v lies in Q(ζ_m).  The
-    value lies there exactly when w, lifted back by ζ_m = ζ_e^p, is v."""
+    value lies there exactly when w, lifted back by ζ_m = ζ_e^p, is v.
+
+    vec holds ints, so v is an algebraic integer, and so is w if v lies in
+    Q(ζ_m): its coordinates at m are then integers too.  So the integer trace
+    (p − 1)·w is divided exactly by p − 1, and a remainder anywhere means v
+    does not descend."""
     m = e // p
-    t, off = pow(p, -1, m), Fraction(-1, p - 1)
-    w = _power_basis(((k * t, c if k % p == 0 else c * off) for k, c in enumerate(vec)), m)
+    t = pow(p, -1, m)
+    trace = _power_basis(
+        ((k * t, c * (p - 1) if k % p == 0 else -c) for k, c in enumerate(vec)), m
+    )
+    if any(c % (p - 1) for c in trace):
+        return None
+    w = tuple(c // (p - 1) for c in trace)
     return w if _power_basis(((p * j, c) for j, c in enumerate(w)), e) == vec else None
 
 
@@ -164,7 +189,8 @@ class Cyclotomic:
         self.coeffs = coeffs
 
     @staticmethod
-    def _canonical(e: int, vec: tuple[Fraction, ...]) -> "Cyclotomic":
+    def _canonical(e: int, vec: tuple[int, ...], D: int) -> "Cyclotomic":
+        # vec holds the int coordinates at e of D times the value
         while any(vec[1:]):
             for p in _prime_factors(e):
                 if (e // p) % p:
@@ -178,8 +204,8 @@ class Cyclotomic:
                 e, vec = e // p, sub
                 break
             else:
-                return Cyclotomic(e, {k: c for k, c in enumerate(vec) if c})
-        return Cyclotomic.from_rational(vec[0])
+                return Cyclotomic(e, {k: Fraction(c, D) for k, c in enumerate(vec) if c})
+        return Cyclotomic.from_rational(Fraction(vec[0], D))
 
     @classmethod
     def from_rational(cls, value) -> "Cyclotomic":
@@ -188,11 +214,15 @@ class Cyclotomic:
 
     @classmethod
     def from_exponent_map(cls, e: int, mapping: dict) -> "Cyclotomic":
-        """Σ c_k ζ_e^k reduced to canonical form."""
+        """Σ c_k ζ_e^k reduced to canonical form.  The coefficients are scaled
+        to ints by their least common denominator D, and D times the value is
+        descended in ints; only the stored coordinates are Fractions."""
         if e < 1:
             raise ValueError(f"conductor must be ≥ 1, got {e}")
-        terms = ((k, Fraction(c)) for k, c in mapping.items())
-        return cls._canonical(e, _power_basis(terms, e))
+        coeffs = [(k, c if type(c) is int else Fraction(c)) for k, c in mapping.items()]
+        D = lcm(*(c.denominator for _, c in coeffs))
+        terms = ((k, c.numerator * (D // c.denominator)) for k, c in coeffs)
+        return cls._canonical(e, _power_basis(terms, e), D)
 
     def is_rational(self) -> bool:
         return self.conductor == 1

@@ -18,7 +18,9 @@ memoizes products in one row of |G| ints per left factor, each entry filled
 when it is first asked for.  The solution scan is the one bulk caller of
 `mult`, and for pairs and triples it puts only a class representative or its
 inverse on the left, so a command leaves at most 2·r rows for r classes;
-longer tuples also fill the rows of their partial products.
+longer tuples also fill the rows of their partial products.  The all-triples
+pair scan (`counting.scan_class_counts`) asks for each product once and takes
+it by key arithmetic, so it fills no row.
 
 `conjugate` is the one conjugation path, memoized the same way: one row of
 |G| ints per conjugator g, holding g⁻¹xg at position x.  The enumeration

@@ -406,3 +406,24 @@ def test_tampered_table_fails_inside_character_table(monkeypatch, capsys):
     assert str(caught.value) == failure
     assert cli.main(["chartab", "Alt(5)"]) == 1
     assert capsys.readouterr().err == f"error: {failure}\n"
+
+
+@pytest.mark.parametrize(
+    "spec, q, cause",
+    [
+        ("Sym(3)", 2, "lifted value does not reduce to mod-p data"),
+        ("Sym(4)", 2, "root multiplicities do not sum to the degree"),
+        ("Alt(5)", 5, "root multiplicities do not sum to the degree"),
+        (SL27, 3, "lifted value does not reduce to mod-p data"),
+    ],
+)
+def test_lift_with_a_root_of_lower_order_fails(monkeypatch, spec, q, cause):
+    # λ of order e/q makes η = λ^{e/o} a root of order below o for every o
+    # that q divides: the lift, tabulated once per element order, must still
+    # check every (row, class) and end in its own error, never in a table
+    least = chartab._least_primitive_root
+    monkeypatch.setattr(chartab, "_least_primitive_root", lambda p, e: least(p, e // q))
+    G, T = classed(spec)
+    with pytest.raises(SplitFailureError) as caught:
+        character_table(G, T)
+    assert str(caught.value) == cause

@@ -308,16 +308,17 @@ def _memoized_rows(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, one_row_per_class",
+    "argv, pair_scan",
     [(("rigid", "Sym(6)", "2", "4", "5"), False), (("oracle", "Sym(5)"), True)],
     ids=["census", "oracle"],
 )
-def test_scan_memoizes_at_most_two_rows_per_class(capsys, monkeypatch, argv, one_row_per_class):
+def test_scan_memoizes_at_most_two_rows_per_class(capsys, monkeypatch, argv, pair_scan):
     T, rows, _ = _memoized_rows(capsys, monkeypatch, argv)
-    assert 0 < rows <= 2 * T.num_classes
-    if one_row_per_class:
-        # the all-triples loop scans by pairs, each from a class representative
-        assert rows == T.num_classes
+    if pair_scan:
+        # the all-triples loop scans by pairs, each product by key arithmetic
+        assert rows == 0
+    else:
+        assert 0 < rows <= 2 * T.num_classes
 
 
 @pytest.mark.parametrize(

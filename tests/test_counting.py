@@ -7,6 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import lcm, prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -400,11 +401,15 @@ def test_count_equivalence_records_mismatches(monkeypatch):
 
 
 def test_count_equivalence_records_scan_mismatches(monkeypatch):
-    # one product misreported: rep₁·rep₁ of a transposition reads as rep₁, not 1
+    # one product misreported: rep₁·rep₁ of a transposition reads as rep₁, not 1;
+    # the pair scan multiplies keys, so the forgery is in the group's element kind
     G, T, CT = charactered("Sym(3)")
-    rep = T.classes[1].representative
-    real = G.mult
-    monkeypatch.setattr(G, "mult", lambda i, j: rep if (i, j) == (rep, rep) else real(i, j))
+    rep = G.elements[T.classes[1].representative]
+    kind = G.kind
+    forged = SimpleNamespace(
+        mul=lambda a, b: rep if a == b == rep else kind.mul(a, b), inverse=kind.inverse
+    )
+    monkeypatch.setattr(G, "kind", forged)
     triples, mismatches = count_equivalence(G, T, CT)
     assert triples == 27
     assert mismatches == [
