@@ -22,9 +22,8 @@ scans once per ordered pair (i, j) and not once per triple: with x₁ = rep_i
 fixed, each x₂ ∈ C_j leaves one third entry (rep_i·x₂)⁻¹, and sorting those
 by class gives, for every k, the solutions of (i, j, k) that start with rep_i
 (`scan_class_counts`).  By the argument above the scan count of (i, j, k) is
-|C_i| times that number: r·|G| candidates for all r³ triples.  Each product
-is asked for once, so the pass multiplies and inverts keys and memoizes no
-Cayley row.
+|C_i| times that number: r·|G| candidates for all r³ triples.  The pass
+multiplies and inverts keys.
 
 The character route computes with plain integers, at c = the lcm of the
 conductors of the classes it reads.  Each column is held as D_k times its
@@ -227,10 +226,9 @@ def enumerate_solutions(
 
     Iterates every class after the first except the largest of them, C_m, and
     solves for x_m.  The cap bounds the product of all class sizes but the
-    largest, the iterations of a scan over every x₁.  `mult` memoizes one
-    Cayley row per distinct left factor: for pairs and triples at most those
-    of rep₁ and rep₁⁻¹, but for 4 or more classes one per distinct partial
-    product, a number the cap does not bound.
+    largest, the iterations of a scan over every x₁.  Beyond the group, the
+    scan holds its solutions and at most one memoized inverse per element
+    (`FiniteGroup.inverse`); `mult` keeps no memo.
     """
     ids = _check_ids(class_ids, len(T.classes))
     sizes = [T.classes[i].size for i in ids]
@@ -315,9 +313,8 @@ def scan_class_counts(G: FiniteGroup, T: ClassTable, i: int, j: int) -> list[int
 
     With x₁ = rep_i, each x₂ ∈ C_j leaves exactly one third entry,
     x₃ = (rep_i·x₂)⁻¹, so entry k counts the solutions of (i, j, k) that
-    start with rep_i.  One pass over C_j; reads G and T only.  Each of the
-    |C_j| products is new, so it is taken by key arithmetic and fills no
-    Cayley row.
+    start with rep_i.  One pass over C_j, by key arithmetic; reads G and T
+    only.
     """
     counts = [0] * T.num_classes
     elements, index, class_of = G.elements, G.index, T.class_of

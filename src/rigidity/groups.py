@@ -13,17 +13,12 @@ two runs over the same generators produce identical tables.  No group
 operation builds an element object; `element(i)` wraps key i as a
 `Permutation` or `PrimeFieldMatrix` for printing and for the tests.
 
-After enumeration all arithmetic is done on element indices.  `mult`
-memoizes products in one row of |G| ints per left factor, each entry filled
-when it is first asked for.  The solution scan is the one bulk caller of
-`mult`, and for pairs and triples it puts only a class representative or its
-inverse on the left, so a command leaves at most 2·r rows for r classes;
-longer tuples also fill the rows of their partial products.  The all-triples
-pair scan (`counting.scan_class_counts`) asks for each product once and takes
-it by key arithmetic, so it fills no row.
+After enumeration all arithmetic is done on element indices.  `mult` is
+one key product and keeps no memo, so no group holds a Cayley row; its one
+caller is the solution scan (`counting.enumerate_solutions`).
 
-`conjugate` is the one conjugation path, memoized the same way: one row of
-|G| ints per conjugator g, holding g⁻¹xg at position x.  The enumeration
+`conjugate` is the one conjugation path, memoized in one row of |G| ints per
+conjugator g, holding g⁻¹xg at position x.  The enumeration
 computes x·g for every element x and stored generator g and keeps the index
 it finds as R_g.  Being breadth-first, it first meets each k ≠ 0 as R_h[x]
 for its parent x in the Schreier tree, so the R rows hold the tree, and left
@@ -37,8 +32,8 @@ filled an entry at a time by key arithmetic.  The conjugators the program
 uses are the stored generators, the centralizer generators of class
 representatives and the entries that seed a census fingerprint.  Inverses
 are memoized per element; no whole-group inverse map is built.  Subgroup
-generation and the centralizer transversal use key arithmetic, which
-fills no row.  Centralizer generators are memoized per element; the scan
+generation and the centralizer transversal use key arithmetic.
+Centralizer generators are memoized per element; the scan
 asks only for class representatives.  Element orders are not memoized.
 
 Every closure in the toolkit (subgroups, conjugacy classes, orbits of solution
@@ -116,8 +111,8 @@ class FiniteGroup:
         per stored generator g, in the order of generator_indices, of the
         indices of x·g over all x, as a breadth-first enumeration found them.
 
-        Two memos grow on demand, each one row of |G| ints: products by left
-        factor (`mult`) and conjugations by conjugator (`conjugate`)."""
+        Conjugations are memoized on demand, one row of |G| ints per
+        conjugator (`conjugate`)."""
         self.kind = kind
         self.elements: list = elements
         if index is None:
@@ -127,7 +122,6 @@ class FiniteGroup:
         self.index: dict = index
         self.generator_indices: tuple[int, ...] = tuple(generator_indices)
         self._right_rows: list[list[int]] | None = right_rows
-        self._rows: list[list[int] | None] = [None] * len(self.elements)
         self._conjugates: dict[int, list[int]] = {}
         self._inverses: dict[int, int] = {}
         self._centralizers: dict[int, tuple[int, ...]] = {}
@@ -172,25 +166,12 @@ class FiniteGroup:
             )
 
     def mult(self, i: int, j: int) -> int:
-        """Index of elements[i] * elements[j], memoized in row i when first asked.
-
-        An index past the end is checked only where it would fail, so a memo
-        hit costs no check."""
+        """Index of elements[i] * elements[j], by one key product."""
         if i < 0 or j < 0:
             self._check_index(min(i, j))
-        try:
-            row = self._rows[i]
-            k = -1 if row is None else row[j]
-        except IndexError:
-            self._check_index(max(i, j))
-            raise
-        if k < 0:
-            if row is None:
-                self._check_index(j)
-                row = self._rows[i] = [-1] * len(self.elements)
-            elements = self.elements
-            k = row[j] = self.index[self.kind.mul(elements[i], elements[j])]
-        return k
+        self._check_index(max(i, j))
+        elements = self.elements
+        return self.index[self.kind.mul(elements[i], elements[j])]
 
     def inverse(self, i: int) -> int:
         """Index of elements[i]⁻¹, by key arithmetic, memoized per element."""
@@ -238,8 +219,8 @@ class FiniteGroup:
         """Index of g⁻¹ x g for x = elements[i], memoized in g's row.
 
         A stored generator's row is `conjugation_row`, built whole; any other
-        row is filled an entry at a time by key arithmetic.  As in `mult`, an
-        index past the end is checked only where it would fail."""
+        row is filled an entry at a time by key arithmetic.  An index past the
+        end is checked only where it would fail, so a memo hit costs no check."""
         if i < 0 or g < 0:
             self._check_index(min(i, g))
         try:
@@ -328,8 +309,8 @@ class FiniteGroup:
 
     def derived_subgroup(self) -> set[int]:
         """Index set of the commutator subgroup: the subgroup generated by the
-        conjugacy classes of the stored generators' commutators.  These are
-        formed by key arithmetic, so no `mult` row is filled."""
+        conjugacy classes of the stored generators' commutators, formed by key
+        arithmetic."""
         gens = self.generator_indices
         elements, index = self.elements, self.index
         mul, inverse = self.kind.mul, self.kind.inverse

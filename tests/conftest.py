@@ -7,7 +7,7 @@ orbits, the per-triple scan as the reference for the all-triples pair scan,
 the cyclotomic reference sum, the long-division reduction mod Φ_e,
 the conductor descent by elimination over Q with the canonical form built on
 it alone, the whole-table integer lift, the two-relation orthogonality
-reference and tampered character tables.
+reference, tampered character tables and the tracemalloc peak of one call.
 
 The cyclotomic reference sum reduces through `cyclotomic._power_basis` (by
 way of `Cyclotomic.from_exponent_map`), the one reduction of the program;
@@ -15,6 +15,7 @@ way of `Cyclotomic.from_exponent_map`), the one reduction of the program;
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -41,6 +42,11 @@ Q8_FLATS = ((0, 2, 1, 0), (1, 1, 1, 2))
 Q8 = "Mat(3, 2; [0 2 1 0], [1 1 1 2])"
 SL23 = "Mat(3, 2; [1 1 0 1], [0 2 1 0])"
 SL27 = "Mat(7, 2; [1 1 0 1], [0 6 1 0])"
+
+# the bytes per group element a scan of 4 classes may peak at: the Sym(6) and
+# SL(2,7) scans of `test_four_class_scan_*` read 361 and 394 while the group
+# memoized a Cayley row per distinct partial product, and 33 and 50 without
+SCAN_BYTES_PER_ELEMENT = 128
 
 _PIPELINES = Pipelines()
 group = _PIPELINES.group
@@ -235,6 +241,15 @@ def pair_scan_mismatch(G, T) -> tuple[int, int] | None:
         if by_pair != by_triple:
             return i, j
     return None
+
+
+def traced_peak(f, *args):
+    """(f(*args), the peak of the memory tracemalloc traced while f ran)."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def cyclotomic_sum(terms) -> Cyclotomic:

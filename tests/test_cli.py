@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SCAN_BYTES_PER_ELEMENT, traced_peak
+
 from rigidity import cli, counting, errors
 from rigidity.groupspec import GroupSpec
 
@@ -296,52 +298,37 @@ def test_oracle_scan_cap_is_checked_per_triple(capsys):
     assert out == run(capsys, "oracle", "Sym(4)")[1]
 
 
-def _memoized_rows(capsys, monkeypatch, argv):
-    """(class table, Cayley rows memoized, stdout) after one passing command."""
-    tables = []
-    classes = cli.conjugacy_classes
-    monkeypatch.setattr(cli, "conjugacy_classes", lambda G: tables.append(classes(G)) or tables[-1])
-    code, out, err = run(capsys, *argv)
-    assert code == 0, err
-    (T,) = tables
-    return T, sum(row is not None for row in T.group._rows), out
-
-
 @pytest.mark.parametrize(
-    "argv, pair_scan",
-    [(("rigid", "Sym(6)", "2", "4", "5"), False), (("oracle", "Sym(5)"), True)],
-    ids=["census", "oracle"],
-)
-def test_scan_memoizes_at_most_two_rows_per_class(capsys, monkeypatch, argv, pair_scan):
-    T, rows, _ = _memoized_rows(capsys, monkeypatch, argv)
-    if pair_scan:
-        # the all-triples loop scans by pairs, each product by key arithmetic
-        assert rows == 0
-    else:
-        assert 0 < rows <= 2 * T.num_classes
-
-
-@pytest.mark.parametrize(
-    "argv, bound, digest",
+    "argv, digest",
     [
         (
             ("rigid", "Sym(6)", "id:2", "id:4", "id:4", "id:2"),
-            41,
             "118f1278ab5ce6a5778789340851206cf689211ac99f2c426d493f1d6c4801ee",
         ),
         (
             ("rigid", "Mat(7, 2; [1 1 0 1], [0 6 1 0])", "id:2", "id:3", "id:4", "id:5"),
-            43,
             "e55132f7a7f09b13f935899b41eaa2ce5997c445740865bede1deeb6afb3ce91",
         ),
     ],
     ids=["Sym(6)", "SL(2,7)"],
 )
-def test_four_class_scan_memoizes_no_more_rows(capsys, monkeypatch, argv, bound, digest):
-    # a scan of 4 classes memoizes one row per distinct partial product; the
-    # bounds and digests were recorded before the scan loop lost its scratch list
-    _, rows, out = _memoized_rows(capsys, monkeypatch, argv)
-    assert rows <= bound
+def test_four_class_scan_memoizes_no_more_rows(capsys, monkeypatch, argv, digest):
+    # the command's scan peaks within a fixed number of bytes per group
+    # element, as no Cayley row is memoized; the digests were recorded before
+    # the scan loop lost its scratch list
+    peaks = []
+    scan = counting.enumerate_solutions
+
+    def traced(G, *args):
+        S, peak = traced_peak(scan, G, *args)
+        peaks.append(peak / G.order)
+        return S
+
+    monkeypatch.setattr(counting, "enumerate_solutions", traced)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    (per_element,) = peaks
+    assert per_element <= SCAN_BYTES_PER_ELEMENT
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

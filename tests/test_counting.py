@@ -15,12 +15,14 @@ from conftest import (
     Q8,
     SL23,
     SL27,
+    SCAN_BYTES_PER_ELEMENT,
     FullScan,
     charactered,
     cyclotomic_sum,
     integer_table,
     pair_scan_mismatch,
     tampered,
+    traced_peak,
 )
 from rigidity import counting
 from rigidity.chartab import verify_orthogonality
@@ -283,6 +285,18 @@ def test_scan_cap():
     G, T, _ = charactered("Sym(5)")
     with pytest.raises(CapExceededError):
         enumerate_solutions(G, T, (4, 4, 4), cap=100)
+
+
+@pytest.mark.parametrize(
+    "spec, ids", [("Sym(6)", (2, 4, 4, 2)), (SL27, (2, 3, 4, 5))], ids=["Sym(6)", "SL(2,7)"]
+)
+def test_four_class_scan_memory_stays_near_the_group_size(spec, ids):
+    # a fresh group, so the scan memoizes its inverses inside the traced call
+    G = build_group(spec)
+    T = conjugacy_classes(G)
+    S, peak = traced_peak(enumerate_solutions, G, T, ids)
+    assert len(S.reduced) == 168
+    assert peak <= SCAN_BYTES_PER_ELEMENT * G.order
 
 
 def test_solutions_multiply_to_identity_within_classes():

@@ -118,23 +118,20 @@ def test_conjugate_matches_element_arithmetic():
 
 
 def test_negative_indices_raise_and_memoize_nothing():
-    # indices past the end too, on a cold memo and again with rows built
+    # indices past the end too, on a cold memo and again with a row built
     bad = ((-1, 1), (0, -1), (99, 1), (0, 99))
     for warm in (False, True):
         G = build_group("Sym(3)")
         if warm:
             G.conjugate(0, 1)
-            G.mult(0, 1)
-        conjugates, rows = dict(G._conjugates), list(G._rows)
+        conjugates = dict(G._conjugates)
         for method in (G.conjugate, G.mult):
             for i, j in bad:
                 index = i if not 0 <= i < G.order else j
                 with pytest.raises(IndexError, match=rf"element index {index} outside 0\.\.5"):
                     method(i, j)
         assert G._conjugates == conjugates
-        assert G._rows == rows
     assert conjugates.keys() == {1}
-    assert rows[0] is not None and rows[1:] == [None] * (G.order - 1)
 
 
 @pytest.mark.parametrize(
@@ -369,13 +366,6 @@ def test_subgroup_generated_from_a_redundant_seed():
     )
     assert len(alt5) == 60
     assert G.subgroup_generated(classes[3, 20]) == alt5
-
-
-@pytest.mark.parametrize("spec", ["SO3(5)", "Sym(5)"])
-def test_derived_subgroup_fills_no_cayley_row(spec):
-    G = build_group(spec)
-    G.derived_subgroup()
-    assert G._rows == [None] * G.order
 
 
 def test_derived_subgroup_is_normal():

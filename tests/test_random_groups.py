@@ -5,6 +5,8 @@ Matrix groups are drawn on both sides of p**n = 257, so both matrix key forms
 
 from __future__ import annotations
 
+from contextlib import redirect_stdout
+from io import StringIO
 from itertools import combinations_with_replacement, product
 from math import factorial
 
@@ -22,6 +24,7 @@ from conftest import (
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
+from rigidity import cli
 from rigidity.chartab import character_table, class_matrix_row, verify_orthogonality
 from rigidity.conjugacy import conjugacy_classes
 from rigidity.counting import count_equivalence, rigidity_verdict
@@ -157,6 +160,26 @@ def test_random_permutation_group_tables_and_counts(generators):
         assert oracle.class_sizes == CT.class_sizes
         assert oracle.class_orders == CT.class_orders
         assert oracle.rows == CT.rows
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(generator_sets(), st.data())
+def test_random_permutation_group_rigid_output_is_deterministic(generators, data):
+    # one class triple and one 4-class multiset, each run twice through the CLI
+    perms = [Permutation(images) for images in generators]
+    spec = f"Perm({perms[0].degree}; {', '.join(p.cycle_string() for p in perms)})"
+    r = conjugacy_classes(closure_enumerate(perms)).num_classes
+    # with 1 or 2 classes most draws repeat the same few tuples
+    assume(r > 2)
+    for size in (3, 4):
+        ids = data.draw(st.lists(st.integers(0, r - 1), min_size=size, max_size=size))
+        argv = ["rigid", spec, *(f"id:{i}" for i in ids), "--format", "structured"]
+        outs = []
+        for _ in range(2):
+            with redirect_stdout(StringIO()) as out:
+                assert cli.main(argv) == 0
+            outs.append(out.getvalue())
+        assert outs[0] == outs[1] and outs[0]
 
 
 def check_matrix_group(generators, form):
