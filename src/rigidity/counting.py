@@ -31,11 +31,15 @@ integer coordinates in the power basis at c (`CharacterTable.column`), each
 row multiplies all columns but the last and is weighted by the integer
 (W/χ(1))^{s−2} with W the lcm of the degrees, one `dot_mod` against the last
 column sums the rows, and one exact integer division by W^{s−2}·∏D_k·|G|
-gives the count.  The sum is memoized per table under the sorted class ids
-(`CharacterTable.character_sums`): c depends only on the classes and the
-product mod Φ_c is commutative, so `count_equivalence` computes one sum per
-multiset where it asks for two per ordered triple.  Neither scan reads the
-table or its memos.
+gives the count.  `_character_sums` is the one sum kernel: it forms those
+weighted row products over a sorted head of classes once per conductor and
+takes one `dot_mod` per last class.  The sum is memoized per table under the
+sorted class ids (`CharacterTable.character_sums`): c depends only on the
+classes and the product mod Φ_c is commutative.  `count_equivalence` fills
+the memo with one kernel call per class pair i ≤ j, every last class k ≥ j
+at once, and takes one count per multiset and one class-algebra constant per
+(multiset, z), read for every ordering.  Neither scan reads the table or its
+memos.
 
 Solution sets are decomposed into orbits under simultaneous conjugation,
 g·(x₁,…,x_s) = (g⁻¹x₁g, …, g⁻¹x_sg); a tuple of classes is rigid when the
@@ -138,35 +142,55 @@ def _check_routes(ids, count: int, scanned: int) -> None:
         )
 
 
-def _character_sum(CT: CharacterTable, ids, power: int) -> tuple[tuple[int, ...], int]:
-    """(total, scale) with Σ_χ ∏_i χ(g_i)/χ(1)^power = total/scale.
+def _character_sums(CT: CharacterTable, head, lasts, power: int) -> list:
+    """[(total, scale) for last in lasts], with Σ_χ ∏_i χ(g_i)/χ(1)^power =
+    total/scale over the classes head + (last,).
 
     total = Σ_χ ∏_i D_i·χ(g_i) · (W/χ(1))^power is an integer vector at c, the
     lcm of the classes' conductors, with D_i from `CT.column(i, c)` and W the
-    lcm of the degrees, and scale = W^power·∏_i D_i.  Memoized in
-    CT.character_sums under the sorted ids: the product mod Φ_c is
-    commutative, so the sum depends only on the multiset of classes.
+    lcm of the degrees, and scale = W^power·∏_i D_i.  The sum kernel: the
+    weighted row products over `head` are formed once per conductor c the
+    lasts need, held only for this call, and each last takes one `dot_mod`
+    against its column.  Callers pass head sorted and every last ≥ head[-1],
+    so that head + (last,) is the sorted key of the memo.
     """
-    key = (tuple(sorted(ids)), power)
-    found = CT.character_sums.get(key)
-    if found is not None:
-        return found
-    c = lcm(*[CT.conductors[i] for i in key[0]])
-    lifts = [CT.column(i, c) for i in key[0]]
-    (_, first), *middle, (_, last) = lifts
     degrees = [row.degree for row in CT.rows]
     W = lcm(*degrees)
-    terms = []
-    for row, degree in enumerate(degrees):
-        term = first[row]
-        for _, vectors in middle:
-            if not any(term):
-                break
-            term = dot_mod((term,), (vectors[row],), c)
-        weight = (W // degree) ** power
-        terms.append(term if weight == 1 else [weight * x for x in term])
-    scale = W**power * prod([D for D, _ in lifts])
-    found = CT.character_sums[key] = (dot_mod(terms, last, c), scale)
+    c_head = lcm(*[CT.conductors[i] for i in head])
+    heads = {}
+    found = []
+    for last in lasts:
+        c = lcm(c_head, CT.conductors[last])
+        if c not in heads:
+            lifts = [CT.column(i, c) for i in head]
+            (_, first), *middle = lifts
+            terms = []
+            for row, degree in enumerate(degrees):
+                term = first[row]
+                for _, vectors in middle:
+                    if not any(term):
+                        break
+                    term = dot_mod((term,), (vectors[row],), c)
+                weight = (W // degree) ** power
+                terms.append(term if weight == 1 else [weight * x for x in term])
+            heads[c] = terms, W**power * prod([D for D, _ in lifts])
+        terms, scale = heads[c]
+        D, vectors = CT.column(last, c)
+        found.append((dot_mod(terms, vectors, c), scale * D))
+    return found
+
+
+def _character_sum(CT: CharacterTable, ids, power: int) -> tuple[tuple[int, ...], int]:
+    """(total, scale) of `_character_sums` for the classes ids, memoized in
+    CT.character_sums under the sorted ids: the product mod Φ_c is
+    commutative, so the sum depends only on the multiset of classes.
+    `count_equivalence` fills the same memo by class pair."""
+    key = (tuple(sorted(ids)), power)
+    found = CT.character_sums.get(key)
+    if found is None:
+        *head, last = key[0]
+        (found,) = _character_sums(CT, head, (last,), power)
+        CT.character_sums[key] = found
     return found
 
 
@@ -338,20 +362,41 @@ def count_equivalence(
     equally many solutions (the conjugation argument of `enumerate_solutions`),
     so the scan count is |C_i| times entry k.  Each triple is held to the
     cap of `enumerate_solutions`, as if it were scanned on its own.
-    A triple mismatches when the scan disagrees with the character count, or
+
+    The character route fills the table's memo with one `_character_sums`
+    call per class pair i ≤ j when the loop reaches it, for every last class
+    k ≥ j that the memo lacks.  It takes frobenius_count once per multiset
+    and class_algebra_constant once per (multiset, z), and reads both for
+    every ordering: the count depends only on the multiset, the constant on
+    the multiset and z.  Loop order meets each in its sorted form first, so
+    an error names the same triple as a call per ordered triple would.  A
+    triple mismatches when the scan disagrees with the character count, or
     when the count breaks frobenius_count(x, y, z) = |C_z| · a_{xyz}.
     """
     r = T.num_classes
     sizes = [c.size for c in T.classes]
+    memo = CT.character_sums
+    counts, constants = {}, {}
     mismatches = []
     for i, j in iter_product(range(r), repeat=2):
+        if i <= j:
+            # (i, j, k) for k ≥ j is each multiset's first, sorted, ordering
+            lasts = [k for k in range(j, r) if ((i, j, k), 1) not in memo]
+            if lasts:
+                for k, found in zip(lasts, _character_sums(CT, (i, j), lasts, 1)):
+                    memo[(i, j, k), 1] = found
         scan = scan_class_counts(G, T, i, j)
         for k in range(r):
             ids = (i, j, k)
-            count = frobenius_count(CT, ids)
+            multiset = tuple(sorted(ids))
+            count = counts.get(multiset)
+            if count is None:
+                count = counts[multiset] = frobenius_count(CT, ids)
             _check_iterations((sizes[i], sizes[j], sizes[k]), cap)
             scanned = sizes[i] * scan[k]
-            constant = class_algebra_constant(CT, *ids)
+            constant = constants.get((multiset, k))
+            if constant is None:
+                constant = constants[multiset, k] = class_algebra_constant(CT, *ids)
             try:
                 _check_routes(ids, count, scanned)
             except VerificationError:

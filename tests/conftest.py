@@ -7,7 +7,8 @@ orbits, the per-triple scan as the reference for the all-triples pair scan,
 the cyclotomic reference sum, the long-division reduction mod Φ_e,
 the conductor descent by elimination over Q with the canonical form built on
 it alone, the whole-table integer lift, the two-relation orthogonality
-reference, tampered character tables and the tracemalloc peak of one call.
+reference, the per-multiset character sum, tampered character tables and the
+tracemalloc peak of one call.
 
 The cyclotomic reference sum reduces through `cyclotomic._power_basis` (by
 way of `Cyclotomic.from_exponent_map`), the one reduction of the program;
@@ -20,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from rigidity.audit import Pipelines
@@ -31,6 +32,7 @@ from rigidity.cyclotomic import (
     _zeta_powers,
     conjugate_mod,
     cyclotomic_polynomial,
+    dot_mod,
     euler_phi,
     integer_coordinates,
 )
@@ -426,6 +428,34 @@ def two_relation_violation(ct) -> str | None:
             if not holds(pairs, k == l):
                 return f"column orthogonality fails for classes {k}, {l}"
     return None
+
+
+def character_sum_reference(CT, ids, power: int) -> tuple[tuple[int, ...], int]:
+    """(total, scale) of the character sum over the classes ids, one multiset
+    at a time, with no memo.
+
+    The reference for `counting._character_sums`, which forms the row
+    products over a pair's head once per conductor and shares them among
+    its last classes: here every multiset lifts its own columns at c, the
+    lcm of its conductors, multiplies each row through and takes one
+    `dot_mod` against its largest class's column."""
+    ids = sorted(ids)
+    c = lcm(*[CT.conductors[i] for i in ids])
+    lifts = [CT.column(i, c) for i in ids]
+    (_, first), *middle, (_, last) = lifts
+    degrees = [row.degree for row in CT.rows]
+    W = lcm(*degrees)
+    terms = []
+    for row, degree in enumerate(degrees):
+        term = first[row]
+        for _, vectors in middle:
+            if not any(term):
+                break
+            term = dot_mod((term,), (vectors[row],), c)
+        weight = (W // degree) ** power
+        terms.append(term if weight == 1 else [weight * x for x in term])
+    scale = W**power * prod([D for D, _ in lifts])
+    return dot_mod(terms, last, c), scale
 
 
 def tampered(CT, delta, row=-1, column=-1):

@@ -17,6 +17,7 @@ from conftest import (
     SL27,
     SCAN_BYTES_PER_ELEMENT,
     FullScan,
+    character_sum_reference,
     charactered,
     cyclotomic_sum,
     integer_table,
@@ -220,6 +221,51 @@ def test_count_equivalence_computes_one_sum_per_multiset():
         assert memo.stores == multisets
 
 
+@pytest.mark.parametrize("name", ["Sym(5)", "Alt(5)", SL23, SL27, "Dih(15)", "tampered"])
+def test_count_equivalence_stores_the_reference_sums(monkeypatch, name):
+    # SL(2,7) has conductors 1, 7 and 8, so one pair's last classes span several
+    # conductors; the tampered SL(2,7) table has a column with D = 2
+    if name == "tampered":
+        G, T, CT = charactered(SL27)
+        table = tampered(CT, Fraction(1, 2))
+        assert integer_table(table)[1] == 2
+        # its counts are not integers; the memo is filled without them
+        monkeypatch.setattr(counting, "frobenius_count", lambda CT, ids: 0)
+        monkeypatch.setattr(counting, "class_algebra_constant", lambda CT, x, y, z: 0)
+    else:
+        G, T, CT = charactered(name)
+        table = replace(CT)
+    count_equivalence(G, T, table)
+    multisets = combinations_with_replacement(range(T.num_classes), 3)
+    assert set(table.character_sums) == {(ids, 1) for ids in multisets}
+    for (ids, power), found in table.character_sums.items():
+        assert found == character_sum_reference(table, ids, power), ids
+
+
+def test_count_equivalence_calls_the_sum_kernel_once_per_pair(monkeypatch):
+    real, calls = counting._character_sums, []
+
+    def wrapped(CT, head, lasts, power):
+        calls.append((tuple(head), list(lasts), power))
+        return real(CT, head, lasts, power)
+
+    monkeypatch.setattr(counting, "_character_sums", wrapped)
+    for name in ("Sym(5)", SL27):
+        G, T, CT = charactered(name)
+        r = T.num_classes
+        calls.clear()
+        table = replace(CT)
+        assert count_equivalence(G, T, table) == (r**3, [])
+        assert len(calls) == r * (r + 1) // 2
+        assert calls == [
+            ((i, j), list(range(j, r)), 1) for i in range(r) for j in range(i, r)
+        ]
+        # a warm memo needs no sum
+        calls.clear()
+        assert count_equivalence(G, T, table) == (r**3, [])
+        assert calls == []
+
+
 def test_each_column_is_lifted_once_per_conductor():
     # the check and the character route share one lift per (class, conductor)
     G, T, CT = charactered(SL27)
@@ -404,13 +450,27 @@ def test_count_equivalence_records_mismatches(monkeypatch):
     )
     triples, mismatches = count_equivalence(G, T, CT)
     assert triples == 27
+    # one count per multiset: the forged count of (1, 1, 2) is read for every
+    # ordering, and each ordering still compares its own scan with it
     assert mismatches == [
         {
             "class-ids": [1, 1, 2],
             "character-count": 7,
             "scan-count": 6,
             "class-algebra-constant": 3,
-        }
+        },
+        {
+            "class-ids": [1, 2, 1],
+            "character-count": 7,
+            "scan-count": 6,
+            "class-algebra-constant": 2,
+        },
+        {
+            "class-ids": [2, 1, 1],
+            "character-count": 7,
+            "scan-count": 6,
+            "class-algebra-constant": 2,
+        },
     ]
 
 

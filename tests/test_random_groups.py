@@ -13,6 +13,7 @@ from math import factorial
 import pytest
 from conftest import (
     FullScan,
+    character_sum_reference,
     commutator_closure,
     fingerprint_reference,
     pair_scan_mismatch,
@@ -104,6 +105,9 @@ def check_tables_and_counts(G, T):
     for i, j in combinations_with_replacement(range(T.num_classes), 2):
         assert class_matrix_row(T, G, j, i) == class_matrix_row(T, G, i, j), (i, j)
     assert count_equivalence(G, T, CT)[1] == []
+    # the sums it stored, shared by class pair, against one sum per multiset
+    for (ids, power), found in CT.character_sums.items():
+        assert found == character_sum_reference(CT, ids, power), ids
     assert pair_scan_mismatch(G, T) is None
     # the scan's orbits partition the solutions, each is an orbit of G, and
     # they are the orbits the full scan finds without fixing x₁ = rep₁
