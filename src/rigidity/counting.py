@@ -23,7 +23,8 @@ fixed, each x₂ ∈ C_j leaves one third entry (rep_i·x₂)⁻¹, and sorting 
 by class gives, for every k, the solutions of (i, j, k) that start with rep_i
 (`scan_class_counts`).  By the argument above the scan count of (i, j, k) is
 |C_i| times that number: r·|G| candidates for all r³ triples.  The pass
-multiplies and inverts keys.
+multiplies keys and sorts each product rep_i·x₂ by its class; the third
+entry's class is then the inverse class, read from the class table.
 
 The character route computes with plain integers, at c = the lcm of the
 conductors of the classes it reads.  Each column is held as D_k times its
@@ -337,16 +338,17 @@ def scan_class_counts(G: FiniteGroup, T: ClassTable, i: int, j: int) -> list[int
 
     With x₁ = rep_i, each x₂ ∈ C_j leaves exactly one third entry,
     x₃ = (rep_i·x₂)⁻¹, so entry k counts the solutions of (i, j, k) that
-    start with rep_i.  One pass over C_j, by key arithmetic; reads G and T
-    only.
+    start with rep_i.  One pass over C_j, by key arithmetic, counts the
+    class of each rep_i·x; (rep_i·x)⁻¹ ∈ C_k exactly when rep_i·x lies in
+    the inverse class of C_k, so entry k is read at `T.inverse_class[k]`.
+    Reads G and T only.
     """
     counts = [0] * T.num_classes
-    elements, index, class_of = G.elements, G.index, T.class_of
-    mul, inverse = G.kind.mul, G.kind.inverse
+    elements, index, class_of, mul = G.elements, G.index, T.class_of, G.kind.mul
     rep = elements[T.classes[i].representative]
     for x in T.classes[j].members:
-        counts[class_of[index[inverse(mul(rep, elements[x]))]]] += 1
-    return counts
+        counts[class_of[index[mul(rep, elements[x])]]] += 1
+    return [counts[k] for k in T.inverse_class]
 
 
 def count_equivalence(

@@ -301,7 +301,7 @@ class VectorKind:
     `permutation_kind(p**n - 1)`.  `wrap` reads column j of M as the image of
     the unit vector e_j."""
 
-    __slots__ = ("p", "n", "identity", "mul", "inverse", "_vectors", "_units", "_tables")
+    __slots__ = ("p", "n", "identity", "mul", "inverse", "_vectors", "_units", "_lanes", "_ones", "_values")
 
     def __init__(self, p: int, n: int):
         self.p, self.n = p, n
@@ -311,25 +311,34 @@ class VectorKind:
         # its key position plus one
         self._vectors = list(product(range(p), repeat=n))
         self._units = [p ** (n - 1 - j) - 1 for j in range(n)]
-        self._tables: dict = {}
+        # a value below p as one 16-bit lane, and 1 in every lane
+        self._lanes = [s.to_bytes(2, "big") for s in range(p)]
+        self._ones = int.from_bytes(self._lanes[1] * (p**n - 1), "big")
+        self._values: dict = {}
 
     def key(self, element: "PrimeFieldMatrix") -> bytes:
         """The key of an invertible matrix, built by linearity.
 
-        Coordinate k of M·v is row k of M applied to v, so the position of M·v
-        is a sum over the rows of one memoized table per (k, row): the value
-        of the row on each nonzero v, times p**(n-1-k), less 1 in row 0."""
-        p, n, tables = self.p, self.n, self._tables
-        columns = []
+        Coordinate k of M·v is row k of M applied to v, so the position of
+        M·v, plus one, is Σ_k p**(n-1-k)·(row k)·v.  Each row's values on the
+        nonzero v are memoized as one int of 16-bit lanes, in the vectors'
+        order, built one coordinate at a time.  In the weighted sum of the
+        rows' ints each lane holds a position plus one, at most
+        p**n − 1 ≤ 256, so no lane carries; M·v ≠ 0, so taking 1 off every
+        lane borrows from none.  The key is the lanes' low bytes."""
+        p, n, memo = self.p, self.n, self._values
+        total = -self._ones
         for k, row in enumerate(element.entries):
-            table = tables.get((k, row))
-            if table is None:
-                weight = p ** (n - 1 - k)
-                table = tables[k, row] = [
-                    sum(map(_times, row, v)) % p * weight - (k == 0) for v in self._vectors[1:]
-                ]
-            columns.append(table)
-        return bytes(map(sum, zip(*columns)))
+            packed = memo.get(row)
+            if packed is None:
+                values = [0]
+                for c in row:
+                    values = [(s + c * x) % p for s in values for x in range(p)]
+                packed = memo[row] = int.from_bytes(
+                    b"".join(map(self._lanes.__getitem__, values[1:])), "big"
+                )
+            total += packed * p ** (n - 1 - k)
+        return total.to_bytes(2 * len(self.identity), "big")[1::2]
 
     def wrap(self, key) -> "PrimeFieldMatrix":
         """The matrix a key stands for, built with no check."""

@@ -398,37 +398,31 @@ def closure_enumerate(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
 def so3_enumerate(p: int) -> FiniteGroup:
     """All 3×3 matrices M over F_p with M·Mᵀ = I and det M = 1.
 
-    Exhaustive scan in row-major lexicographic order with row-level pruning;
-    the surviving matrices appear in exactly the order a naive scan of all p⁹
-    candidates would produce, keyed by `group_keys`.  The identity is then
-    moved to the front.
+    The rows of M are an orthonormal pair (r1, r2) and one third row, which
+    the pair fixes as r3 = r1 × r2 mod p.  Nothing is assumed to get there:
+    - span(r1, r2) is nondegenerate (its Gram matrix is I), so its orthogonal
+      complement is one line, λ·(r1 × r2);
+    - |r1 × r2|² = (r1·r1)(r2·r2) − (r1·r2)² = 1, so r3·r3 = 1 gives λ² = 1;
+    - det(r1, r2, λ·r1 × r2) = λ·|r1 × r2|² = λ, so det M = 1 gives λ = 1.
+    A naive scan of all p⁹ candidates lists the matrices in lexicographic
+    order of (r1, r2, r3), and r3 is fixed by (r1, r2); so one candidate per
+    orthonormal pair, pairs in lexicographic order, gives the same list in
+    the same order.  The matrices are keyed by `group_keys`, and the
+    identity is then moved to the front.
     """
     if p not in (3, 5, 7):
         raise UnsupportedModulusError(
             f"supported moduli are 3, 5, 7 (got {p})"
         )
     rng = range(p)
-    vectors = [(a, b, c) for a in rng for b in rng for c in rng]
-
-    def dot(u, v):
-        return (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]) % p
-
-    unit = [v for v in vectors if dot(v, v) == 1]
+    unit = [(a, b, c) for a in rng for b in rng for c in rng if (a * a + b * b + c * c) % p == 1]
     mats = []
     for r1 in unit:
+        a, b, c = r1
         for r2 in unit:
-            if dot(r1, r2) != 0:
-                continue
-            for r3 in vectors:
-                if dot(r3, r3) != 1 or dot(r1, r3) or dot(r2, r3):
-                    continue
-                det = (
-                    r1[0] * (r2[1] * r3[2] - r2[2] * r3[1])
-                    - r1[1] * (r2[0] * r3[2] - r2[2] * r3[0])
-                    + r1[2] * (r2[0] * r3[1] - r2[1] * r3[0])
-                ) % p
-                if det == 1:
-                    mats.append((r1, r2, r3))
+            x, y, z = r2
+            if (a * x + b * y + c * z) % p == 0:
+                mats.append((r1, r2, ((b * z - c * y) % p, (c * x - a * z) % p, (a * y - b * x) % p)))
     kind, keys = group_keys(list(map(matrix_kind(p, 3).wrap, mats)))
     keys.remove(kind.identity)
     keys.insert(0, kind.identity)

@@ -2,7 +2,8 @@
 image-list and entry-list references for key arithmetic, the object→index
 map, the
 brute-force centralizer, commutator-closure and fingerprint references, the
-whole class-matrix reference, the full-scan reference for solutions and
+SO3 scan of every third-row candidate, the whole class-matrix reference, the
+full-scan reference for solutions and
 orbits, the per-triple scan as the reference for the all-triples pair scan,
 the cyclotomic reference sum, the long-division reduction mod Φ_e,
 the conductor descent by elimination over Q with the canonical form built on
@@ -37,7 +38,8 @@ from rigidity.cyclotomic import (
     integer_coordinates,
 )
 from rigidity.counting import Orbit, enumerate_solutions, scan_class_counts
-from rigidity.groups import orbit, orbit_partition
+from rigidity.elements import group_keys, matrix_kind
+from rigidity.groups import FiniteGroup, orbit, orbit_partition
 
 # quaternion group of order 8 as 2x2 matrices over F_3
 Q8_FLATS = ((0, 2, 1, 0), (1, 1, 1, 2))
@@ -153,6 +155,42 @@ def fingerprint_reference(G, seed) -> tuple:
             k, power = k + 1, power * x
         profile[k] = profile.get(k, 0) + 1
     return (len(members), tuple(sorted(sizes)), tuple(sorted(profile.items())))
+
+
+def so3_by_candidate_scan(p: int) -> FiniteGroup:
+    """SO3(p) by a scan of all p³ candidates for the third row.
+
+    The reference for `groups.so3_enumerate`, which takes the cross product
+    of each orthonormal pair: for each such pair (r1, r2), in lexicographic
+    order, every r3 in lexicographic order with r3·r3 = 1, r1·r3 = r2·r3 = 0
+    and det(r1, r2, r3) = 1 is kept.  The matrices are keyed by `group_keys`
+    and wrapped with the identity moved to the front."""
+    rng = range(p)
+    vectors = [(a, b, c) for a in rng for b in rng for c in rng]
+
+    def dot(u, v):
+        return (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]) % p
+
+    unit = [v for v in vectors if dot(v, v) == 1]
+    mats = []
+    for r1 in unit:
+        for r2 in unit:
+            if dot(r1, r2) != 0:
+                continue
+            for r3 in vectors:
+                if dot(r3, r3) != 1 or dot(r1, r3) or dot(r2, r3):
+                    continue
+                det = (
+                    r1[0] * (r2[1] * r3[2] - r2[2] * r3[1])
+                    - r1[1] * (r2[0] * r3[2] - r2[2] * r3[0])
+                    + r1[2] * (r2[0] * r3[1] - r2[1] * r3[0])
+                ) % p
+                if det == 1:
+                    mats.append((r1, r2, r3))
+    kind, keys = group_keys(list(map(matrix_kind(p, 3).wrap, mats)))
+    keys.remove(kind.identity)
+    keys.insert(0, kind.identity)
+    return FiniteGroup.from_closed_elements(kind, keys)
 
 
 @dataclass(frozen=True)

@@ -612,6 +612,20 @@ def test_orbit_report_outputs_are_pinned(capsys, argv, digest):
             "4fc94ea93508c4084a5afc7e1d7978a2ee3ee5e11cbc02d65c245ee41a0bc22a",
         ),
         (
+            # the same walk over a list on vector keys
+            ("order", "SO3(3)"),
+            "4f00a76049bb41add71e74d1d034a95e3b7ddbb4e9e09269241701bba01a246d",
+        ),
+        (
+            ("order", "SO3(5)"),
+            "ae9b88a14b68548218a305201bf7af3f11515ec20be02b8d43c735897bbcacfe",
+        ),
+        (
+            # the derived subgroup of a list on vector keys, wrapped in turn
+            ("classes", "Omega3(5)"),
+            "62acf4235d3d56444167ea41b0d65ab84301b9dd5e106601ac551a964f6a524b",
+        ),
+        (
             # census fingerprints inside a group wrapped from its element list
             ("triples", "SO3(5)", "2", "4", "5", "--format", "structured"),
             "3673b6ee28af911f939486fcf1d5422f17833fd31dbed4c7b0f64b9aaabfd16b",
@@ -633,6 +647,9 @@ def test_orbit_report_outputs_are_pinned(capsys, argv, digest):
     ],
     ids=[
         "order-SO3(7)",
+        "order-SO3(3)",
+        "order-SO3(5)",
+        "classes-Omega3(5)",
         "triples-SO3(5)-structured",
         "rigid-orders-Sym(6)-structured",
         "rigid-classes-Sym(6)-empty",

@@ -276,7 +276,7 @@ def test_matrix_kind_matches_entry_list_arithmetic():
                 assert element.entries == ab
     # vector keys, up to p**n = 257: against the action on the nonzero vectors
     # and against object arithmetic on entry rows
-    for p, n in ((2, 2), (3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (2, 3), (3, 3), (5, 3), (257, 1)):
+    for p, n in ((2, 2), (3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (2, 3), (3, 3), (5, 3), (2, 8), (257, 1)):
         kind = vector_kind(p, n)
         vectors = list(product(range(p), repeat=n))[1:]
         position = {v: i for i, v in enumerate(vectors)}

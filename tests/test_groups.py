@@ -14,6 +14,7 @@ from conftest import (
     commutator_closure,
     group,
     positions,
+    so3_by_candidate_scan,
     wrapped,
 )
 
@@ -437,6 +438,20 @@ def test_so3_matches_naive_scan_mod5():
     identity_flat = (1, 0, 0, 0, 1, 0, 0, 0, 1)
     naive.remove(identity_flat)
     assert ours == [identity_flat] + naive
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_so3_by_cross_product_matches_the_candidate_scan(p):
+    """One cross product per orthonormal row pair gives the scan's elements,
+    in the scan's order, with its generators; so does the derived subgroup."""
+    reference = so3_by_candidate_scan(p)
+    G = so3_enumerate(p)
+    assert G.elements == reference.elements
+    assert G.generator_indices == reference.generator_indices
+    omega = omega3_group(p)
+    omega_reference = reference.subgroup(reference.derived_subgroup())
+    assert omega.elements == omega_reference.elements
+    assert omega.generator_indices == omega_reference.generator_indices
 
 
 def test_shadow_fingerprints():
