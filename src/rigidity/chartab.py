@@ -18,11 +18,16 @@ simultaneous right eigenvector of all structure-constant matrices:
    until every space is a line.  Each space is kept as a reduced echelon
    basis with its pivot columns; A_j maps it into itself, so the coordinates
    of A_j·v are the entries of A_j·v at the pivots, and the split reads only
-   the rows of A_j at the pivots of the spaces that are not yet lines.  On
-   each space the eigenvalues are the roots of the characteristic polynomial
-   of A_j restricted to it, taken in ascending order with one kernel
-   computed per root; each line, scaled to value 1 at the identity class, is
-   one ω-vector mod p;
+   the rows of A_j at the pivots of the spaces that are not yet lines.  A
+   space on which A_j acts as a scalar is one eigenspace of A_j and is kept
+   as it is.  On every other space the eigenvalues are the roots of the
+   characteristic polynomial of A_j restricted to it, taken in ascending
+   order with one kernel computed per root.  When class j is rational (g^s
+   is conjugate to g for every s prime to its order), each ω(j) is an
+   integer in [−|C_j|, |C_j|]; when 2|C_j| + 1 < p the roots are sought
+   among those residues first, and in the rest of F_p only if they do not
+   fill the space.  Each
+   line, scaled to value 1 at the identity class, is one ω-vector mod p;
 4. recover each degree from d² = |G| / Σ_k ω(k)·ω(k')/|C_k| (k' the inverse
    class), unique as an integer ≤ √|G| < p/2;
 5. lift each value by the inverse discrete Fourier transform over power-map
@@ -30,10 +35,12 @@ simultaneous right eigenvector of all structure-constant matrices:
    multiplicity of ζ_o^t in the representation at g is
    m_t = (1/o)·Σ_s χ(g^s)·η^{−ts} mod p, and χ(g) = Σ_t m_t·ζ_o^t.  One
    o×o table of η^{ts} mod p is built per element order o (it is symmetric,
-   and its row −t mod o holds η^{−ts}), so each (row, class) costs 2·o
-   integer dot products; for every one, each m_t must be ≤ the degree, the
-   m_t must sum to the degree, and Σ_t m_t·η^{ts} must give back χ(g^s) for
-   every s.
+   and its row −t mod o holds η^{−ts}).  The multiplicities depend only on
+   the degree and θ, the values χ(g^s) mod p, so each distinct (degree, θ)
+   is lifted once, at the cost of 2·o integer dot products, and its value is
+   shared by every (row, class) with that pair; for every one, each m_t must
+   be ≤ the degree, the m_t must sum to the degree, and Σ_t m_t·η^{ts} must
+   give back χ(g^s) for every s.
 
 The root η is derived from the least primitive e-th root λ mod p, so output
 is reproducible; a different λ would relabel the table by a global Galois
@@ -57,7 +64,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt, lcm
+from itertools import chain
+from math import gcd, isqrt, lcm
 
 from .conjugacy import ClassTable, power_classes
 from .cyclotomic import (
@@ -235,25 +243,44 @@ def _restriction(space, rows, p):
     M[s][t] = rows[pivots[s]]·b_t mod p.  Rows off the pivots are never read,
     so an image that leaves the space goes unseen here."""
     basis, pivots = space
-    return [[sum(a * x for a, x in zip(rows[i], b)) % p for b in basis] for i in pivots]
+    return [[sum(map(operator.mul, rows[i], b)) % p for b in basis] for i in pivots]
 
 
-def _split_space(space, rows, p):
+def _split_space(space, rows, p, radius):
     """Split an invariant subspace into eigenspaces of A, eigenvalues ascending.
 
-    space and rows are as in `_restriction`.  The eigenvalues are the roots
-    mod p of the characteristic polynomial of the restriction, found by
-    evaluating it at λ = 0, 1, … until the eigenspaces fill the subspace; only
-    a root costs a kernel.  Each eigenspace is returned in the same form as
-    space.  Raises SplitFailure when they do not fill it (A not
-    diagonalizable here)."""
+    space and rows are as in `_restriction`.  radius is such that every
+    eigenvalue of A is expected to be congruent mod p to an integer in
+    [−radius, radius]: for a rational class j, |C_j|, since
+    ω(j) = |C_j|·χ(g_j)/χ(1) is then a rational algebraic integer, so an
+    integer, and |χ(g_j)| ≤ χ(1); otherwise p // 2, which excludes nothing.
+
+    A restriction equal to λ·I makes the space one eigenspace, returned as it
+    is, with no characteristic polynomial, root search or kernel: a search
+    would find the one root λ, whose kernel is the whole space.  Otherwise
+    the eigenvalues are the roots mod p of the characteristic polynomial of
+    the restriction, and only a root costs a kernel.  When 2·radius + 1 < p
+    the search tries λ ∈ [0, radius] ∪ [p − radius, p) first and the rest of
+    F_p only while the eigenspaces do not yet fill the subspace, so a wrong
+    radius costs time, never a root.  The eigenspaces are those a search of
+    all of F_p finds, as once their dimensions sum to that of the subspace
+    no further λ has a nonzero kernel; each is returned in the same form as
+    space, in ascending order of its eigenvalue.  Raises SplitFailure when
+    they do not fill the subspace (A not diagonalizable here)."""
     basis = space[0]
-    m, r = len(basis), len(basis[0])
+    m = len(basis)
     M = _restriction(space, rows, p)
+    lam = M[0][0]
+    if all(x == (lam if s == t else 0) for s, row in enumerate(M) for t, x in enumerate(row)):
+        return [space]
     charpoly = _charpoly_mod(M, p)
-    pieces = []
+    columns = list(zip(*basis))
+    search = range(p)
+    if 2 * radius + 1 < p:
+        search = chain(range(radius + 1), range(p - radius, p), range(radius + 1, p - radius))
+    pieces = {}
     found = 0
-    for lam in range(p):
+    for lam in search:
         if found == m:
             break
         value = 0
@@ -268,15 +295,12 @@ def _split_space(space, rows, p):
         ker = _kernel_mod(shifted, p)
         if not ker:
             continue
-        ambient = [
-            [sum(x[t] * basis[t][k] for t in range(m)) % p for k in range(r)] for x in ker
-        ]
-        reduced, piece_pivots = row_reduce(ambient, r, p)
-        pieces.append((reduced, piece_pivots))
+        ambient = [[sum(map(operator.mul, x, column)) % p for column in columns] for x in ker]
+        pieces[lam] = row_reduce(ambient, len(columns), p)
         found += len(ker)
     if found != m:
         raise SplitFailureError("matrix not diagonalizable over this prime")
-    return pieces
+    return [pieces[lam] for lam in sorted(pieces)]
 
 
 def _least_primitive_root(p: int, e: int) -> int:
@@ -291,6 +315,7 @@ def _least_primitive_root(p: int, e: int) -> int:
 def _attempt(G: FiniteGroup, T: ClassTable, p: int, e: int) -> CharacterTable:
     """The split and lift at p; the first inconsistency raises SplitFailure."""
     r = len(T.classes)
+    powers = power_classes(T)
     spaces = [([[1 if i == k else 0 for i in range(r)] for k in range(r)], list(range(r)))]
     for j in range(1, r):
         # two spaces may share a pivot column; each row is counted once
@@ -298,10 +323,14 @@ def _attempt(G: FiniteGroup, T: ClassTable, p: int, e: int) -> CharacterTable:
         if not needed:
             break
         rows = {i: [x % p for x in class_matrix_row(T, G, j, i)] for i in needed}
+        # a rational class has integer values, so |ω(j)| ≤ |C_j|
+        o = len(powers[j])
+        rational = all(powers[j][s] == j for s in range(1, o) if gcd(s, o) == 1)
+        radius = T.classes[j].size if rational else p // 2
         spaces = [
             piece
             for space in spaces
-            for piece in (_split_space(space, rows, p) if len(space[0]) > 1 else (space,))
+            for piece in (_split_space(space, rows, p, radius) if len(space[0]) > 1 else (space,))
         ]
     if any(len(basis) != 1 for basis, _ in spaces):
         raise SplitFailureError(
@@ -333,7 +362,6 @@ def _attempt(G: FiniteGroup, T: ClassTable, p: int, e: int) -> CharacterTable:
         raise SplitFailureError("degree squares do not sum to the group order")
 
     lam_root = _least_primitive_root(p, e)
-    powers = power_classes(T)
     # per element order o: the symmetric table F[t][s] = η^{ts} and 1/o mod p,
     # with η = λ^{e/o} a primitive o-th root; row −t of F holds η^{−ts}
     transforms = {}
@@ -342,30 +370,31 @@ def _attempt(G: FiniteGroup, T: ClassTable, p: int, e: int) -> CharacterTable:
         eta_pow = [pow(eta, i, p) for i in range(o)]
         F = [[eta_pow[t * s % o] for s in range(o)] for t in range(o)]
         transforms[o] = (F, pow(o, -1, p))
+    # the lift and its checks depend only on (degree, θ), so each distinct
+    # pair is lifted and checked once
     lifted: dict[tuple, Cyclotomic] = {}
     rows = []
     for w, degree in zip(vectors, degrees):
         values = []
-        for k in range(r):
-            pcs = powers[k]
-            o = len(pcs)
-            F, inv_o = transforms[o]
-            theta = [degree * w[pc] * inv_sizes[pc] % p for pc in pcs]
-            mults = [sum(map(operator.mul, theta, F[-t % o])) * inv_o % p for t in range(o)]
-            if max(mults) > degree:
-                raise SplitFailureError("root multiplicity exceeds the degree")
-            if sum(mults) != degree:
-                raise SplitFailureError("root multiplicities do not sum to the degree")
-            for s in range(o):
-                # lifted value must reduce back to the eigenvector data
-                if sum(map(operator.mul, mults, F[s])) % p != theta[s]:
-                    raise SplitFailureError("lifted value does not reduce to mod-p data")
-            key = (o, *mults)
-            if key not in lifted:
-                lifted[key] = Cyclotomic.from_exponent_map(
+        for pcs in powers:
+            theta = tuple([degree * w[pc] * inv_sizes[pc] % p for pc in pcs])
+            value = lifted.get((degree, theta))
+            if value is None:
+                o = len(pcs)
+                F, inv_o = transforms[o]
+                mults = [sum(map(operator.mul, theta, F[-t % o])) * inv_o % p for t in range(o)]
+                if max(mults) > degree:
+                    raise SplitFailureError("root multiplicity exceeds the degree")
+                if sum(mults) != degree:
+                    raise SplitFailureError("root multiplicities do not sum to the degree")
+                for s in range(o):
+                    # lifted value must reduce back to the eigenvector data
+                    if sum(map(operator.mul, mults, F[s])) % p != theta[s]:
+                        raise SplitFailureError("lifted value does not reduce to mod-p data")
+                value = lifted[degree, theta] = Cyclotomic.from_exponent_map(
                     o, {t: m for t, m in enumerate(mults) if m}
                 )
-            values.append(lifted[key])
+            values.append(value)
         rows.append(Character(degree=degree, values=tuple(values)))
 
     rows.sort(key=Character.sort_key)

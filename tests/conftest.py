@@ -5,6 +5,8 @@ brute-force centralizer, commutator-closure and fingerprint references, the
 SO3 scan of every third-row candidate, the whole class-matrix reference, the
 full-scan reference for solutions and
 orbits, the per-triple scan as the reference for the all-triples pair scan,
+the split of an eigenspace by a search of all of F_p and a table built with
+every split compared to it,
 the cyclotomic reference sum, the long-division reduction mod Φ_e,
 the conductor descent by elimination over Q with the canonical form built on
 it alone, the whole-table integer lift, the two-relation orthogonality
@@ -25,8 +27,9 @@ from itertools import product as iter_product
 from math import lcm, prod
 from operator import mul
 
+from rigidity import chartab
 from rigidity.audit import Pipelines
-from rigidity.chartab import Character
+from rigidity.chartab import Character, _charpoly_mod, _kernel_mod, character_table
 from rigidity.cyclotomic import (
     Cyclotomic,
     _prime_factors,
@@ -38,7 +41,8 @@ from rigidity.cyclotomic import (
     integer_coordinates,
 )
 from rigidity.counting import Orbit, enumerate_solutions, scan_class_counts
-from rigidity.elements import group_keys, matrix_kind
+from rigidity.elements import group_keys, matrix_kind, row_reduce
+from rigidity.errors import SplitFailureError
 from rigidity.groups import FiniteGroup, orbit, orbit_partition
 
 # quaternion group of order 8 as 2x2 matrices over F_3
@@ -220,6 +224,68 @@ def class_matrices(T, G, ids=None) -> list[ClassMatrix]:
                 entries[T.class_of[at[xi * z]]][k] += 1
         out.append(ClassMatrix(j=c.id, entries=tuple(tuple(row) for row in entries)))
     return out
+
+
+def split_by_full_search(space, rows, p):
+    """The split of one invariant subspace by a search of all of F_p.
+
+    The reference for `chartab._split_space`, which keeps a space on which
+    A acts as a scalar and searches a window of small integers first: here
+    the characteristic polynomial of the restriction is evaluated at
+    λ = 0, 1, … until the eigenspaces fill the subspace, with one kernel per
+    root and no scalar test, and the restriction and the map back to the
+    ambient space are sums of their own, coordinate by coordinate.  space
+    and rows are as in `chartab._restriction`."""
+    basis, pivots = space
+    m, r = len(basis), len(basis[0])
+    M = [[sum(a * x for a, x in zip(rows[i], b)) % p for b in basis] for i in pivots]
+    charpoly = _charpoly_mod(M, p)
+    pieces = []
+    found = 0
+    for lam in range(p):
+        if found == m:
+            break
+        value = 0
+        for c in reversed(charpoly):
+            value = (value * lam + c) % p
+        if value:
+            continue
+        shifted = [
+            [(x - lam) % p if s == t else x for t, x in enumerate(row)]
+            for s, row in enumerate(M)
+        ]
+        ker = _kernel_mod(shifted, p)
+        if not ker:
+            continue
+        ambient = [
+            [sum(x[t] * basis[t][k] for t in range(m)) % p for k in range(r)] for x in ker
+        ]
+        pieces.append(row_reduce(ambient, r, p))
+        found += len(ker)
+    if found != m:
+        raise SplitFailureError("matrix not diagonalizable over this prime")
+    return pieces
+
+
+def table_by_compared_splits(G, T):
+    """(`character_table(G, T)`, one (p, radius, scalar) per split), with
+    every call of `chartab._split_space` required to return what
+    `split_by_full_search` returns on the same space and rows; scalar tells
+    whether the split kept its space as it was."""
+    split = chartab._split_space
+    splits = []
+
+    def compared(space, rows, p, radius):
+        pieces = split(space, rows, p, radius)
+        assert pieces == split_by_full_search(space, rows, p), (p, radius)
+        splits.append((p, radius, pieces[0] is space))
+        return pieces
+
+    chartab._split_space = compared
+    try:
+        return character_table(G, T), splits
+    finally:
+        chartab._split_space = split
 
 
 class FullScan:

@@ -19,12 +19,15 @@ from conftest import (
     classed,
     cyclotomic_sum,
     integer_table,
+    split_by_full_search,
+    table_by_compared_splits,
     tampered,
     two_relation_violation,
 )
 from rigidity import chartab, cli
 from rigidity.chartab import (
     _charpoly_mod,
+    _split_space,
     character_table,
     class_matrix_row,
     dixon_prime,
@@ -49,6 +52,7 @@ ALL_NAMES = (
     "SO3(5)",
     "Omega3(5)",
 )
+SL213 = "Mat(13, 2; [1 1 0 1], [0 12 1 0])"
 
 
 def test_class_matrix_row_sums():
@@ -294,6 +298,12 @@ def _count_builds(monkeypatch):
     return built, kernels
 
 
+# kernels per table: one per eigenspace of a space that is split, none where
+# A_j acts as a scalar (Alt(7) 16 → 11 and SL(2,7) 24 → 17 with that test;
+# Sym(6) and Sym(7) have no such space)
+KERNELS = {"Sym(6)": 13, "Sym(7)": 15, "Alt(7)": 11, SL27: 17}
+
+
 @pytest.mark.parametrize(
     "spec, needed",
     [("Sym(6)", 2), ("Sym(7)", 1), ("Alt(7)", 7), ("Mat(7, 2; [1 1 0 1], [0 6 1 0])", 7)],
@@ -312,6 +322,92 @@ def test_split_builds_only_the_class_matrices_it_reaches(monkeypatch, spec, need
     assert needed == 1 or len(built) < needed * r
     # one kernel per eigenspace: no row reduction at a λ that is no root
     assert all(kernels)
+    assert len(kernels) == KERNELS[spec]
+
+
+def test_splits_match_the_full_search():
+    # every split of these tables returns the pieces of a search of all of
+    # F_p, in the same order; among them are spaces kept whole because A_j
+    # acts as a scalar, searches in a window and searches with none
+    kinds = set()
+    for spec in ALL_NAMES + (SL23, SL27, SL213):
+        G, T = classed(spec)
+        table, splits = table_by_compared_splits(G, T)
+        assert table == charactered(spec)[2]
+        kinds.update(
+            "scalar" if scalar else "window" if 2 * radius + 1 < p else "all of F_p"
+            for p, radius, scalar in splits
+        )
+    assert kinds == {"scalar", "window", "all of F_p"}
+
+
+def _eigenvalues(pieces, rows, p):
+    """The eigenvalue of A on each one-line piece, read at the line's pivot."""
+    out = []
+    for basis, (pivot,) in pieces:
+        (v,) = basis
+        out.append(sum(a * x for a, x in zip(rows[pivot], v)) % p)
+    return out
+
+
+@pytest.mark.parametrize(
+    "rows, radius, eigenvalues",
+    [
+        # 10, 20 and 25 lie outside the window [0, 2] ∪ [29, 31): the rest
+        # of F_31 must still be searched
+        ({0: [10, 1, 0], 1: [0, 20, 0], 2: [0, 5, 25]}, 2, [10, 20, 25]),
+        # 1 and 30 ≡ −1 inside, 16 outside: pieces still ascend
+        ({0: [16, 0, 0], 1: [3, 30, 0], 2: [0, 0, 1]}, 2, [1, 16, 30]),
+        # no window: 2·15 + 1 = 31
+        ({0: [16, 0, 0], 1: [3, 30, 0], 2: [0, 0, 1]}, 15, [1, 16, 30]),
+    ],
+)
+def test_split_finds_eigenvalues_outside_the_window(rows, radius, eigenvalues):
+    p = 31
+    space = ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2])
+    pieces = _split_space(space, rows, p, radius)
+    assert pieces == split_by_full_search(space, rows, p)
+    assert _eigenvalues(pieces, rows, p) == eigenvalues
+
+
+def test_split_of_a_proper_subspace_matches_the_full_search():
+    # a plane in F_31^4 with pivots 0 and 2; A acts on its basis by
+    # b_0 ↦ 25·b_0 + b_1 and b_1 ↦ 4·b_1, eigenvalues 4 (inside the window
+    # [0, 4] ∪ [27, 31)) and 25 (outside it)
+    p = 31
+    space = ([[1, 7, 0, 3], [0, 0, 1, 9]], [0, 2])
+    rows = {0: [25, 0, 0, 0], 2: [1, 0, 4, 0]}
+    pieces = _split_space(space, rows, p, 4)
+    assert pieces == split_by_full_search(space, rows, p)
+    assert [pivots for _, pivots in pieces] == [[2], [0]]
+
+
+def test_scalar_restriction_keeps_its_space(monkeypatch):
+    # A = 7·I on the space: no characteristic polynomial and no kernel
+    p = 31
+    space = ([[1, 0, 5], [0, 1, 2]], [0, 1])
+    rows = {0: [7, 0, 0], 1: [0, 7, 0]}
+    expected = split_by_full_search(space, rows, p)
+    assert expected == [space]
+    for name in ("_charpoly_mod", "_kernel_mod"):
+        monkeypatch.setattr(chartab, name, None)
+    for radius in (0, 7, 15):
+        pieces = _split_space(space, rows, p, radius)
+        assert pieces == expected and pieces[0] is space
+
+
+@pytest.mark.parametrize("radius", (0, 5, 15))
+def test_jordan_block_fails_like_the_full_search(radius):
+    # one root, 5, with a kernel of dimension 1 in a space of dimension 2;
+    # the root lies outside the window, inside it, and there is no window
+    p = 31
+    space = ([[1, 0], [0, 1]], [0, 1])
+    rows = {0: [5, 1], 1: [0, 5]}
+    with pytest.raises(SplitFailureError) as reference:
+        split_by_full_search(space, rows, p)
+    with pytest.raises(SplitFailureError) as caught:
+        _split_space(space, rows, p, radius)
+    assert str(caught.value) == str(reference.value) == "matrix not diagonalizable over this prime"
 
 
 @pytest.mark.parametrize("spec", ("Sym(6)", "Alt(7)", SL27, "SO3(7)", Q8))

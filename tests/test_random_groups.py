@@ -18,6 +18,7 @@ from conftest import (
     fingerprint_reference,
     pair_scan_mismatch,
     positions,
+    table_by_compared_splits,
     two_relation_violation,
     wrapped,
 )
@@ -40,6 +41,8 @@ DERIVED_ORDER_CAP = 120
 # examples are kept to at most as many classes as Sym(6) has
 MATRIX_ORDER_CAP = 150
 MATRIX_CLASS_CAP = 11
+# groups on 7 points are checked up to Alt(7), whose Dixon prime is 421
+DEGREE_7_ORDER_CAP = 2520
 
 
 @st.composite
@@ -184,6 +187,21 @@ def test_random_permutation_group_rigid_output_is_deterministic(generators, data
                 assert cli.main(argv) == 0
             outs.append(out.getvalue())
         assert outs[0] == outs[1] and outs[0]
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.permutations(range(7)), min_size=1, max_size=2))
+def test_random_degree_7_permutation_group_tables(generators):
+    # the table only: each split against the search of all of F_p, and both
+    # orthogonality relations; the counts and scans of larger groups are too
+    # slow for a property test
+    try:
+        G = closure_enumerate([Permutation(images) for images in generators], DEGREE_7_ORDER_CAP)
+    except CapExceededError:
+        assume(False)
+    CT, _ = table_by_compared_splits(G, conjugacy_classes(G))
+    assert two_relation_violation(CT) is None
+    assert sum(chi.degree**2 for chi in CT.rows) == G.order
 
 
 def check_matrix_group(generators, form):
