@@ -17,8 +17,10 @@ After enumeration all arithmetic is done on element indices.  `mult` is
 one key product and keeps no memo, so no group holds a Cayley row; its one
 caller is the solution scan (`counting.enumerate_solutions`).
 
-`conjugate` is the one conjugation path, memoized in one row of |G| ints per
-conjugator g, holding g⁻¹xg at position x.  The enumeration
+`conjugate` is the one conjugation path.  Only the stored generators'
+conjugations are memoized, one row of |G| ints per generator g holding g⁻¹xg
+at position x; any other conjugator's is formed by key arithmetic on each
+call.  The enumeration
 computes x·g for every element x and stored generator g and keeps the index
 it finds as R_g.  Being breadth-first, it first meets each k ≠ 0 as R_h[x]
 for its parent x in the Schreier tree, so the R rows hold the tree, and left
@@ -27,10 +29,10 @@ A stored generator's row C_g = R_g ∘ L_{g⁻¹} thus takes one key inverse
 and no product; it is built whole on first use (`conjugation_row`), and the
 R rows are dropped once every stored generator has its row.  Groups wrapped
 from a closed key list (`from_closed_elements`) keep no R rows and build
-a generator's row by key arithmetic.  Any other conjugator's row is
-filled an entry at a time by key arithmetic.  The conjugators the program
-uses are the stored generators, the centralizer generators of class
-representatives and the entries that seed a census fingerprint.  Inverses
+a generator's row by key arithmetic.  The other conjugators the program
+uses, the centralizer generators of class representatives and the entries
+that seed a census fingerprint, each meet few of the |G| elements, so a row
+for them would stay mostly empty.  Inverses
 are memoized per element; no whole-group inverse map is built.  Subgroup
 generation and the centralizer transversal use key arithmetic.
 Centralizer generators are memoized per element; the scan
@@ -111,8 +113,9 @@ class FiniteGroup:
         per stored generator g, in the order of generator_indices, of the
         indices of x·g over all x, as a breadth-first enumeration found them.
 
-        Conjugations are memoized on demand, one row of |G| ints per
-        conjugator (`conjugate`)."""
+        Conjugations by a stored generator are memoized on first use, one
+        row of |G| ints per generator (`conjugation_row`); no other
+        conjugator's are."""
         self.kind = kind
         self.elements: list = elements
         if index is None:
@@ -216,33 +219,28 @@ class FiniteGroup:
         return row
 
     def conjugate(self, i: int, g: int) -> int:
-        """Index of g⁻¹ x g for x = elements[i], memoized in g's row.
+        """Index of g⁻¹ x g for x = elements[i].
 
-        A stored generator's row is `conjugation_row`, built whole; any other
-        row is filled an entry at a time by key arithmetic.  An index past the
-        end is checked only where it would fail, so a memo hit costs no check."""
+        A stored generator's entry is read from its whole row
+        (`conjugation_row`); any other conjugator's is formed by key
+        arithmetic on each call, with no memo.  A negative index is checked
+        up front and one past the end only where it fails, which keeps the
+        checks off the valid path."""
         if i < 0 or g < 0:
             self._check_index(min(i, g))
-        try:
-            row = self._conjugates[g]
-            k = row[i]
-        except KeyError:
-            # g's first conjugation: check both before memoizing its row
-            self._check_index(g)
+        row = self._conjugates.get(g)
+        if row is None and g in self.generator_indices:
+            # g's first conjugation: check i before its row is memoized
             self._check_index(i)
-            if g in self.generator_indices:
-                return self.conjugation_row(g)[i]
-            row = self._conjugates[g] = [-1] * len(self.elements)
-            k = -1
+            row = self.conjugation_row(g)
+        try:
+            if row is not None:
+                return row[i]
+            elements, mul = self.elements, self.kind.mul
+            return self.index[mul(mul(elements[self.inverse(g)], elements[i]), elements[g])]
         except IndexError:
             self._check_index(i)
             raise
-        if k < 0:
-            elements, mul = self.elements, self.kind.mul
-            k = row[i] = self.index[
-                mul(mul(elements[self.inverse(g)], elements[i]), elements[g])
-            ]
-        return k
 
     def element_order(self, i: int) -> int:
         """Least k ≥ 1 with elements[i]^k = identity, by repeated products."""

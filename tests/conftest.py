@@ -56,6 +56,11 @@ SL27 = "Mat(7, 2; [1 1 0 1], [0 6 1 0])"
 # memoized a Cayley row per distinct partial product, and 33 and 50 without
 SCAN_BYTES_PER_ELEMENT = 128
 
+# the bytes per group element the Alt(8) (2,3,7) census may peak at: 125 while
+# every conjugator had a row of |G| ints, and 7 with rows for the stored
+# generators only
+CENSUS_BYTES_PER_ELEMENT = 32
+
 _PIPELINES = Pipelines()
 group = _PIPELINES.group
 classed = _PIPELINES.classes

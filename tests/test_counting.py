@@ -15,6 +15,7 @@ from conftest import (
     Q8,
     SL23,
     SL27,
+    CENSUS_BYTES_PER_ELEMENT,
     SCAN_BYTES_PER_ELEMENT,
     FullScan,
     character_sum_reference,
@@ -343,6 +344,17 @@ def test_four_class_scan_memory_stays_near_the_group_size(spec, ids):
     S, peak = traced_peak(enumerate_solutions, G, T, ids)
     assert len(S.reduced) == 168
     assert peak <= SCAN_BYTES_PER_ELEMENT * G.order
+
+
+def test_census_memory_stays_near_the_group_size():
+    # classes first, so the trace holds the census alone: the orbit search
+    # conjugates by centralizer generators and the fingerprints by their seeds
+    G = build_group("Alt(8)")
+    T = conjugacy_classes(G)
+    census, peak = traced_peak(abc_census, G, T, 2, 3, 7)
+    assert [orbit.subgroup_fingerprint[0] for orbit in census.orbits] == [168] * 6
+    assert peak <= CENSUS_BYTES_PER_ELEMENT * G.order
+    assert set(G._conjugates) <= set(G.generator_indices)
 
 
 def test_solutions_multiply_to_identity_within_classes():

@@ -107,22 +107,26 @@ def test_class_sweep_inverts_only_representatives_and_generators():
 
 
 def test_conjugate_matches_element_arithmetic():
-    # a fresh group, so the first answer of each conjugation fills the memo
+    # a fresh group, so the first conjugation by each generator builds its row
     G = build_group(Q8)
     els = wrapped(G)
     for i in range(G.order):
         for g in range(G.order):
             expected = els[G.inverse(g)] * els[i] * els[g]
-            # the second answer comes from the memo
+            # asked twice: a generator's row answers the second time, any
+            # other conjugator's answer is formed again
             assert els[G.conjugate(i, g)] == expected
             assert els[G.conjugate(i, g)] == expected
+    assert set(G._conjugates) <= set(G.generator_indices)
 
 
 def test_negative_indices_raise_and_memoize_nothing():
-    # indices past the end too, on a cold memo and again with a row built
-    bad = ((-1, 1), (0, -1), (99, 1), (0, 99))
+    # indices past the end too, on a cold memo and again with a row built;
+    # 3 is no stored generator, so (99, 3) fails in the key arithmetic
+    bad = ((-1, 1), (0, -1), (99, 1), (0, 99), (99, 3))
     for warm in (False, True):
         G = build_group("Sym(3)")
+        assert 3 not in G.generator_indices
         if warm:
             G.conjugate(0, 1)
         conjugates = dict(G._conjugates)
@@ -155,7 +159,7 @@ def test_generator_conjugation_rows_match_element_arithmetic(spec):
             inv = els[g].inverse()
             for x in range(G.order):
                 expected = at[inv * els[x] * els[g]]
-                # the second answer comes from the memo
+                # asked twice, so a generator's second answer is read from its row
                 assert G.conjugate(x, g) == G.conjugate(x, g) == expected
 
     # an enumerated group keeps its R rows until every stored
@@ -164,15 +168,16 @@ def test_generator_conjugation_rows_match_element_arithmetic(spec):
     for g in G.generator_indices:
         G.conjugate(0, g)
         # the first conjugation builds the generator's whole row
-        assert -1 not in G._conjugates[g]
+        assert sorted(G._conjugates[g]) == list(range(G.order))
         assert G.conjugation_row(g) is G._conjugates[g]
     assert G._right_rows is None
-    # other conjugators' rows fill entry by entry, through `conjugate` only
+    # other conjugators get no row: `conjugate` forms each of their entries
     with pytest.raises(ValueError, match="not a stored generator"):
         G.conjugation_row(next(x for x in range(G.order) if x not in G.generator_indices))
     check(G.generator_indices)
     T = conjugacy_classes(G)
     check({g for c in T.classes for g in G.centralizer_generators(c.representative)})
+    assert set(G._conjugates) <= set(G.generator_indices)
 
 
 def test_element_order_matches_naive_powers():
